@@ -50,7 +50,7 @@ BASELINES = {
     "BENCH_wire_format.json": [
         ("binary_v3.requests_per_second", "higher"),
         ("binary_v3.bytes_per_renewal", "lower"),
-        ("json_v2.bytes_per_renewal", "lower"),
+        ("unbatched_v3.bytes_per_renewal", "lower"),
     ],
     "BENCH_scenarios.json": [
         # The adaptive fleet must serve the whole flash crowd: a single

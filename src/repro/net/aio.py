@@ -19,16 +19,16 @@ callback and nothing else:
 * :class:`AsyncTcpTransport` — a drop-in
   :class:`~repro.net.transport.Transport` that keeps **multiple
   requests in flight on one socket**.  Each request envelope is tagged
-  with a correlation id in the codec-v2 envelope metadata
+  with a correlation id in the envelope metadata
   (:data:`~repro.net.codec.CORRELATION_KEY`); a background reader
   matches responses back to callers whatever order they return in.
   Transports share one module-level event-loop thread, so a hundred
   client handles cost one thread, not a hundred.
 
-Ordering contract (how v1 peers stay compatible)
-------------------------------------------------
-A request **without** a correlation tag — a v1 peer, or the strict-
-ordered :class:`~repro.net.transport.TcpTransport` — is dispatched and
+Ordering contract
+-----------------
+A request **without** a correlation tag — the strict-ordered
+:class:`~repro.net.transport.TcpTransport` — is dispatched and
 answered before the next frame of that connection is read, exactly like
 the threaded server, so position-matching clients never see a reorder.
 A request **with** a tag runs concurrently and its response carries the
@@ -49,6 +49,7 @@ import asyncio
 import socket as _socket
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
@@ -62,13 +63,7 @@ from repro.net.errors import (
     TransportError,
 )
 from repro.core.protocol import BatchRequest, BatchResponse
-from repro.net.server import (
-    ConnectionWire,
-    WireStats,
-    attach_server_stats,
-    negotiate_hello,
-    overload_frame,
-)
+from repro.net.server import WireStats, attach_server_stats, overload_frame
 from repro.net.transport import (
     HandlerTable,
     RenewCoalescer,
@@ -101,17 +96,11 @@ class AsyncLeaseServer:
                  accept_backlog: int = 128,
                  max_workers: int = 8,
                  max_connections: Optional[int] = None,
-                 extra_handlers=None,
-                 wire: int = codec.WIRE_V3) -> None:
+                 extra_handlers=None) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be at least 1")
-        if wire not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(
-                f"unknown wire version {wire!r}; supported: "
-                f"{codec.SUPPORTED_WIRE_VERSIONS}"
-            )
         self.remote = remote
         self.handlers = HandlerTable(remote.protocol_handlers())
         for method, handler in (extra_handlers or {}).items():
@@ -123,9 +112,6 @@ class AsyncLeaseServer:
         self.accept_backlog = accept_backlog
         self.max_workers = max_workers
         self.max_connections = max_connections
-        #: Negotiation ceiling: the highest wire version this server
-        #: will agree to in a hello exchange.
-        self.wire = wire
         self.wire_stats = WireStats()
         self.requests_served = 0
         self.errors_returned = 0
@@ -202,7 +188,7 @@ class AsyncLeaseServer:
         )
         try:
             server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port,
+                self._accept, self.host, self.port,
                 backlog=self.accept_backlog,
             )
         except OSError as exc:
@@ -229,6 +215,21 @@ class AsyncLeaseServer:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Serve a new connection on a task this server owns.
+
+        :meth:`stop` cancels these tasks and gathers them itself.  Handing
+        the stream machinery a coroutine instead would make it read the
+        result of every cancelled task and log the cancellation as an
+        unhandled exception.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer)
+        )
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         sock = writer.get_extra_info("socket")
@@ -254,12 +255,8 @@ class AsyncLeaseServer:
             return
         self.connections_accepted += 1
         self.open_connections += 1
-        this_task = asyncio.current_task()
-        if this_task is not None:
-            self._conn_tasks.add(this_task)
         write_lock = asyncio.Lock()
         in_flight: set = set()
-        conn_wire = ConnectionWire()
         try:
             while True:
                 try:
@@ -278,10 +275,6 @@ class AsyncLeaseServer:
                 self.wire_stats.note_decoded(
                     len(data) + codec.FRAME_HEADER.size
                 )
-                # Replies speak whatever format the request arrived in
-                # (same contract as the threaded server).
-                reply_version = (codec.WIRE_V3 if codec.is_binary_frame(data)
-                                 else codec.WIRE_VERSION)
                 try:
                     method, payload, request_id, meta = \
                         codec.decode_request_envelope(data)
@@ -293,44 +286,13 @@ class AsyncLeaseServer:
                     self.errors_returned += 1
                     await self._write(writer, write_lock, codec.encode_error(
                         f"{type(exc).__name__}: {exc}", 0,
-                        version=reply_version,
                     ))
                     continue
                 corr = meta.get(codec.CORRELATION_KEY)
-                if method == codec.HELLO_METHOD:
-                    # Negotiation is pure loop-side state — answer inline
-                    # without burning an executor slot.
-                    hello_meta = ({codec.CORRELATION_KEY: corr}
-                                  if corr is not None else None)
-                    try:
-                        response = negotiate_hello(
-                            payload, self.wire, conn_wire, self.wire_stats
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        self.errors_returned += 1
-                        reply = codec.encode_error(
-                            f"{type(exc).__name__}: {exc}", request_id,
-                            meta=hello_meta, version=reply_version,
-                        )
-                    else:
-                        self.requests_served += 1
-                        reply = codec.encode_response(
-                            response, request_id,
-                            meta=hello_meta, version=reply_version,
-                        )
-                    await self._write(writer, write_lock, reply)
-                    continue
-                if not conn_wire.recorded:
-                    # First lease frame from a peer that skipped
-                    # negotiation: record the version it is observed
-                    # speaking.
-                    conn_wire.record(self.wire_stats,
-                                     codec.wire_version_of(data))
                 if method == "renew_batch" and hasattr(payload, "requests"):
                     self.wire_stats.note_batch(len(payload.requests))
                 handling = self._respond(
                     method, payload, request_id, corr, writer, write_lock,
-                    reply_version,
                 )
                 if corr is None:
                     # Strict-ordered mode: a peer that did not tag the
@@ -345,8 +307,6 @@ class AsyncLeaseServer:
         finally:
             for task in in_flight:
                 task.cancel()
-            if this_task is not None:
-                self._conn_tasks.discard(this_task)
             self.open_connections -= 1
             writer.close()
             try:
@@ -356,8 +316,7 @@ class AsyncLeaseServer:
 
     async def _respond(self, method: str, payload: Any, request_id: int,
                        corr: Optional[Any], writer: asyncio.StreamWriter,
-                       write_lock: asyncio.Lock,
-                       reply_version: int = codec.WIRE_VERSION) -> None:
+                       write_lock: asyncio.Lock) -> None:
         meta = {codec.CORRELATION_KEY: corr} if corr is not None else None
         try:
             response = await asyncio.get_running_loop().run_in_executor(
@@ -367,12 +326,10 @@ class AsyncLeaseServer:
             self.errors_returned += 1
             reply = codec.encode_error(
                 f"{type(exc).__name__}: {exc}", request_id, meta=meta,
-                version=reply_version,
             )
         else:
             self.requests_served += 1
-            reply = codec.encode_response(response, request_id, meta=meta,
-                                          version=reply_version)
+            reply = codec.encode_response(response, request_id, meta=meta)
         await self._write(writer, write_lock, reply)
 
     def _dispatch(self, method: str, payload: Any):
@@ -430,7 +387,7 @@ class AsyncTcpTransport(Transport):
     and the shard router call it exactly like
     :class:`~repro.net.transport.TcpTransport` — but many caller
     threads can have requests in flight **on the same socket** at once:
-    each request is tagged with a correlation id in the v2 envelope
+    each request is tagged with a correlation id in the envelope
     metadata, and a reader task on the shared client event loop routes
     each response (in whatever order the server finishes them) back to
     the caller that asked.
@@ -495,10 +452,9 @@ class AsyncTcpTransport(Transport):
         #: the latency half of the telemetry renewals carry upstream.
         self.rtt_ewma_seconds = 0.0
         self._closed = False
-        #: Preferred wire version; the connection's actual version is
-        #: negotiated on dial and recorded in ``negotiated_wire``.
-        self.wire = getattr(config, "wire", codec.WIRE_VERSION)
-        self.negotiated_wire: Optional[int] = None
+        #: Closes the live connection if this transport is dropped
+        #: without :meth:`close` (one per connection).
+        self._abandon: Optional[weakref.finalize] = None
         #: Per-frame link accounting: every physical frame is charged
         #: once with its actual serialized length, so a batch of N
         #: coalesced renewals bills one frame, not N messages.
@@ -644,10 +600,8 @@ class AsyncTcpTransport(Transport):
         self._next_corr += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[corr] = future
-        version = self.negotiated_wire or codec.WIRE_VERSION
         frame = codec.frame(codec.encode_request(
-            method, payload, corr, version=version,
-            meta={codec.CORRELATION_KEY: corr},
+            method, payload, corr, meta={codec.CORRELATION_KEY: corr},
         ))
         try:
             try:
@@ -671,10 +625,6 @@ class AsyncTcpTransport(Transport):
             )
         finally:
             self._pending.pop(corr, None)
-        if reply.kind == "error" and reply.meta.get("overloaded"):
-            # The server answered by shedding this connection (it closes
-            # the socket next; the reader loop's teardown handles that).
-            raise Overloaded(reply.error or "server overloaded")
         return reply.deliver()
 
     async def _ensure_connection(
@@ -705,19 +655,14 @@ class AsyncTcpTransport(Transport):
                     with self._counters_lock:
                         self.reconnects += 1
                 self._ever_connected = True
-                # Negotiate before the reader loop exists: the hello
-                # reply is the only frame ever read outside it.
-                try:
-                    self.negotiated_wire = await self._negotiate(
-                        reader, writer
-                    )
-                except (ConnectionError, OSError, EOFError,
-                        codec.CodecError, Overloaded) as exc:
-                    await self._teardown(exc)
-                    raise
-                self._reader_task = asyncio.get_running_loop().create_task(
-                    self._reader_loop(reader)
+                loop = asyncio.get_running_loop()
+                self._reader_task = task = loop.create_task(
+                    _reader_loop(weakref.ref(self), reader)
                 )
+                self._abandon = weakref.finalize(
+                    self, _close_abandoned, loop, writer, task
+                )
+                self._abandon.atexit = False
                 return reader, writer
             raise DialError(
                 f"could not (re)connect to {self.host}:{self.port} after "
@@ -726,71 +671,23 @@ class AsyncTcpTransport(Transport):
                 attempts=self.reconnect_attempts,
             )
 
-    async def _negotiate(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> int:
-        """First exchange on a fresh connection: agree on a wire version.
-
-        Mirrors :meth:`~repro.net.transport.TcpTransport._negotiate`: a
-        preference below v3 skips the hello; a server without a hello
-        handler answers with an unknown-method error, which
-        down-negotiates to v2 JSON.
-        """
-        if self.wire < codec.WIRE_V3:
-            return self.wire
-        frame = codec.frame(codec.encode_request(
-            codec.HELLO_METHOD, codec.hello_payload(self.wire)
-        ))
-        writer.write(frame)
-        await writer.drain()
-        with self._counters_lock:
-            self.bytes_sent += len(frame)
-            self.frames_sent += 1
-        header = await asyncio.wait_for(
-            reader.readexactly(codec.FRAME_HEADER.size),
-            timeout=self.timeout_seconds,
-        )
-        data = await asyncio.wait_for(
-            reader.readexactly(codec.frame_length(header)),
-            timeout=self.timeout_seconds,
-        )
+    def _route(self, data: bytes) -> None:
+        """Hand one reply frame to the caller it correlates to."""
         with self._counters_lock:
             self.bytes_received += len(data) + codec.FRAME_HEADER.size
             self.frames_received += 1
         reply = codec.decode_reply(data)
-        if reply.kind == "error":
-            if reply.meta.get("overloaded"):
-                raise Overloaded(reply.error or "server overloaded")
-            return codec.WIRE_VERSION  # pre-negotiation server: speak JSON
-        chosen = reply.payload.get("wire") \
-            if isinstance(reply.payload, dict) else None
-        if chosen not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise codec.CodecError(f"server negotiated bogus wire {chosen!r}")
-        return chosen
-
-    async def _reader_loop(self, reader: asyncio.StreamReader) -> None:
-        """Route incoming frames to whichever caller they correlate to."""
-        try:
-            while True:
-                header = await reader.readexactly(codec.FRAME_HEADER.size)
-                data = await reader.readexactly(codec.frame_length(header))
-                with self._counters_lock:
-                    self.bytes_received += len(data) + codec.FRAME_HEADER.size
-                    self.frames_received += 1
-                reply = codec.decode_reply(data)
-                # A pipelining server echoes our tag; a strict-ordered
-                # (v1) peer omits it but echoes the request id, which we
-                # set to the same value — either way the reply finds its
-                # caller.
-                corr = reply.meta.get(codec.CORRELATION_KEY,
-                                      reply.request_id)
-                future = self._pending.get(corr)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                codec.CodecError) as exc:
-            await self._teardown(exc)
-        except asyncio.CancelledError:
-            raise
+        # A pipelining server echoes our tag; a strict-ordered peer
+        # omits it but echoes the request id, which we set to the same
+        # value — either way the reply finds its caller.
+        corr = reply.meta.get(codec.CORRELATION_KEY, reply.request_id)
+        future = self._pending.get(corr)
+        if future is not None and not future.done():
+            future.set_result(reply)
+        elif reply.kind == "error" and reply.meta.get("overloaded"):
+            # The server shed this connection on accept, before reading
+            # any request: its one frame answers every call in flight.
+            raise Overloaded(reply.error or "server overloaded")
 
     async def _teardown(self, exc: BaseException) -> None:
         """Drop the connection and fail every in-flight caller."""
@@ -798,6 +695,9 @@ class AsyncTcpTransport(Transport):
         task, self._reader_task = self._reader_task, None
         if task is not None and task is not asyncio.current_task():
             task.cancel()
+        if self._abandon is not None:
+            self._abandon.detach()
+            self._abandon = None
         if writer is not None:
             writer.close()
             try:
@@ -808,10 +708,11 @@ class AsyncTcpTransport(Transport):
             ConnectionError(str(exc))
         for future in list(self._pending.values()):
             if not future.done():
-                if isinstance(error, codec.CodecError):
-                    # Keep the tamper evidence typed: the caller's
-                    # retry loop must see a CodecError (surfaced as
-                    # TamperedFrame), not a retriable ConnectionError.
+                if isinstance(error, (codec.CodecError, Overloaded)):
+                    # Keep tamper evidence and load shedding typed: the
+                    # caller's retry loop must see a CodecError
+                    # (surfaced as TamperedFrame) or Overloaded, not a
+                    # retriable ConnectionError.
                     future.set_exception(error)
                 else:
                     future.set_exception(
@@ -820,3 +721,42 @@ class AsyncTcpTransport(Transport):
                         )
                     )
         self._pending.clear()
+
+
+async def _reader_loop(transport_ref, reader: asyncio.StreamReader) -> None:
+    """Route incoming frames to whichever caller they correlate to.
+
+    Holds its transport only weakly, and only between reads: a
+    transport dropped without :meth:`AsyncTcpTransport.close` can then
+    be collected, and its finalizer cancels this task instead of the
+    loop destroying it while still pending.
+    """
+    try:
+        while True:
+            header = await reader.readexactly(codec.FRAME_HEADER.size)
+            data = await reader.readexactly(codec.frame_length(header))
+            transport = transport_ref()
+            if transport is None:
+                return
+            transport._route(data)
+            del transport
+    except (asyncio.IncompleteReadError, ConnectionError, OSError,
+            codec.CodecError, Overloaded) as exc:
+        transport = transport_ref()
+        if transport is not None:
+            await transport._teardown(exc)
+
+
+def _close_abandoned(loop: asyncio.AbstractEventLoop,
+                     writer: asyncio.StreamWriter,
+                     task: asyncio.Task) -> None:
+    """Finalizer of a dropped transport: close its connection on the
+    loop thread (the garbage collector may run this on any thread)."""
+    def close() -> None:
+        task.cancel()
+        writer.close()
+
+    try:
+        loop.call_soon_threadsafe(close)
+    except RuntimeError:
+        pass  # the loop is already closed; nothing left to cancel

@@ -319,7 +319,7 @@ class RenewCoalescer:
 class TcpTransport(Transport):
     """Socket client for an SL-Remote behind :class:`~repro.net.server.LeaseServer`.
 
-    One persistent connection, length-prefixed JSON frames.  A request
+    One persistent connection, length-prefixed binary frames.  A request
     that times out or hits a broken connection is retried with
     exponential backoff up to ``max_attempts`` times; every attempt
     charges one virtual RTT to the caller's clock (the SimulatedLink
@@ -391,10 +391,6 @@ class TcpTransport(Transport):
         #: EWMA of the *real* round-trip time of successful exchanges —
         #: the latency half of the telemetry renewals carry upstream.
         self.rtt_ewma_seconds = 0.0
-        #: Preferred wire version; the connection's actual version is
-        #: negotiated on dial and recorded in ``negotiated_wire``.
-        self.wire = getattr(config, "wire", codec.WIRE_VERSION)
-        self.negotiated_wire: Optional[int] = None
         #: Per-frame link accounting: every physical frame is charged
         #: once with its actual serialized length, so a batch of N
         #: coalesced renewals bills one frame, not N messages.
@@ -430,7 +426,6 @@ class TcpTransport(Transport):
             if self._ever_connected:
                 self.reconnects += 1
             self._ever_connected = True
-            self.negotiated_wire = self._negotiate(sock)
             return sock
         raise DialError(
             f"could not (re)connect to {self.host}:{self.port} after "
@@ -450,39 +445,6 @@ class TcpTransport(Transport):
     def close(self) -> None:
         with self._lock:
             self._drop_connection()
-
-    # -- negotiation -----------------------------------------------------
-    def _negotiate(self, sock: socket.socket) -> int:
-        """First exchange on a fresh connection: agree on a wire version.
-
-        A preference below v3 skips the hello entirely (the JSON
-        revisions need no agreement — decoders accept both); otherwise
-        one JSON round-trip asks the server to pick.  A server without
-        a hello handler answers with an unknown-method error, which
-        down-negotiates to v2.
-        """
-        if self.wire < codec.WIRE_V3:
-            return self.wire
-        frame = codec.frame(codec.encode_request(
-            codec.HELLO_METHOD, codec.hello_payload(self.wire)
-        ))
-        sock.sendall(frame)
-        self.bytes_sent += len(frame)
-        self.frames_sent += 1
-        data = read_frame(sock)
-        self.bytes_received += len(data) + codec.FRAME_HEADER.size
-        self.frames_received += 1
-        reply = codec.decode_reply(data)
-        if reply.kind == "error":
-            if reply.meta.get("overloaded"):
-                self._drop_connection()
-                raise Overloaded(reply.error or "server overloaded")
-            return codec.WIRE_VERSION  # pre-negotiation server: speak JSON
-        chosen = reply.payload.get("wire") if isinstance(reply.payload, dict) \
-            else None
-        if chosen not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise codec.CodecError(f"server negotiated bogus wire {chosen!r}")
-        return chosen
 
     # -- the round trip ------------------------------------------------
     def request(self, method: str, payload: object,
@@ -576,10 +538,8 @@ class TcpTransport(Transport):
     def _round_trip(self, method: str, payload: object):
         sock = self._connection()
         self._request_id += 1
-        version = self.negotiated_wire or codec.WIRE_VERSION
         frame = codec.frame(
-            codec.encode_request(method, payload, self._request_id,
-                                 version=version)
+            codec.encode_request(method, payload, self._request_id)
         )
         sock.sendall(frame)
         # One physical frame = one charge, whatever it coalesces.

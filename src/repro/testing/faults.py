@@ -195,7 +195,7 @@ class NetFaultPlan:
 
     One-shot actions (``*_nth``) fire on exactly that frame; the
     periodic ``corrupt_every`` corrupts every Nth frame after
-    ``start_after`` (so handshakes/init traffic can pass clean).
+    ``start_after`` (so init traffic can pass clean).
     """
 
     #: Drop the Nth frame entirely (the peer sees silence, then its
@@ -210,8 +210,8 @@ class NetFaultPlan:
     #: Corrupt every Nth frame (after ``start_after``); composes with
     #: ``corrupt_nth`` for one-shot use.
     corrupt_every: Optional[int] = None
-    #: Frames numbered <= this pass untouched (lets negotiation and
-    #: init traffic through before the tampering starts).
+    #: Frames numbered <= this pass untouched (lets init traffic
+    #: through before the tampering starts).
     start_after: int = 0
     #: Which payload byte the corruption flips (modulo the length).
     corrupt_offset: int = 0

@@ -145,7 +145,7 @@ def _read_until_marker(process):
 
 
 def test_recovery_markers_precede_listening_with_batching(tmp_path):
-    """Startup ordering survives the v3/batching arc.
+    """Startup ordering survives batched binary renewals.
 
     A durable server is driven through batched binary renewals, then
     restarted on the same ledger: every ``SL-Recovery`` replay marker
@@ -156,13 +156,13 @@ def test_recovery_markers_precede_listening_with_batching(tmp_path):
     from repro.net.endpoint import connect
 
     args = ["--data-dir", str(tmp_path / "ledger"), "--fsync", "always",
-            "--wire", "3", "--ledger-commit-seconds", "0.005"]
+            "--ledger-commit-seconds", "0.005"]
     process = _spawn_serve_remote(args)
     try:
         seen = _read_until_marker(process)
         host, port = seen[-1].split(MARKER, 1)[1].strip().rsplit(":", 1)
         endpoint = connect(
-            f"sl://{host}:{int(port)}?wire=3&batch_window=0.001",
+            f"sl://{host}:{int(port)}?batch_window=0.001",
             conditions=NetworkConditions(round_trip_seconds=0.002),
             timeout_seconds=10.0,
         )
@@ -181,9 +181,7 @@ def test_recovery_markers_precede_listening_with_batching(tmp_path):
                             tokens_per_attestation=10)
         manager.load_license("lic-wire", mint_license_blob("lic-wire"))
         assert manager.check("lic-wire")
-        transport = endpoint.transport
-        assert transport.negotiated_wire == 3
-        assert transport.coalescer is not None
+        assert endpoint.transport.coalescer is not None
         sl_local.shutdown()
         endpoint.close()
     finally:

@@ -121,14 +121,12 @@ def test_sharded_fleet_identical_across_wire_backends():
     assert wire_fleet_fingerprint("tcp", shards=3) == baseline
 
 
-def wire_version_fingerprint(query: str, seed: int = 17):
+def socket_client_fingerprint(query: str, seed: int = 17):
     """The wire fleet scenario with every node dialing ``sl://...?query``.
 
-    The server side is a stock v3-ceiling :class:`LeaseServer`; the
-    query string pins the clients' wire preference (and optionally a
-    renewal batch window), so each row of the matrix checks that a
-    down-negotiated or batched client reaches the same protocol
-    outcome as the native one.
+    The server side is a stock :class:`LeaseServer`; the query string
+    optionally sets a renewal batch window, so each row checks that a
+    batched client reaches the same protocol outcome as a plain one.
     """
     from repro.net.server import LeaseServer
 
@@ -149,10 +147,6 @@ def wire_version_fingerprint(query: str, seed: int = 17):
         cluster.crash_node("n1")
         served_b = cluster.run_checks(LICENSE, checks_per_node=40)
         cluster.shutdown_node("n3")
-        negotiated = {
-            name: node.sl_local.remote.transport.negotiated_wire
-            for name, node in cluster.nodes.items()
-        }
         ledger = cluster.remote.ledger(LICENSE)
         fingerprint = {
             "served": (served_a, served_b),
@@ -162,34 +156,24 @@ def wire_version_fingerprint(query: str, seed: int = 17):
             "renewals": cluster.remote.renewals_served,
             "conserved": cluster.pool_conserved(LICENSE, POOL),
         }
-        return fingerprint, negotiated
+        return fingerprint
     finally:
         cluster.close()
         server.stop()
 
 
 def test_v1_v2_clients_match_v3_server_protocol_outcomes():
-    """Acceptance: JSON peers against a v3 server, full equivalence.
+    """Acceptance: socket clients against a server, full equivalence.
 
-    A v3 server must serve v1 and v2 JSON clients (which never send a
-    hello) with protocol outcomes identical to a fully upgraded v3
-    client — and a batching v3 client must land on the same numbers
-    through the ``renew_batch`` path.
+    A plain ``sl://`` client must reach protocol outcomes identical to
+    the in-process baseline — and a batching client must land on the
+    same numbers through the ``renew_batch`` path.
     """
     baseline = wire_fleet_fingerprint("in-process")
     assert baseline["conserved"]
-    rows = {
-        "wire=1": 1,
-        "wire=2": 2,
-        "wire=3": 3,
-        "wire=3&batch_window=0.001": 3,
-    }
-    for query, expected_wire in rows.items():
-        fingerprint, negotiated = wire_version_fingerprint(query)
+    for query in ("", "batch_window=0.001"):
+        fingerprint = socket_client_fingerprint(query)
         assert fingerprint == baseline, f"client row {query!r} diverged"
-        # Each connection settles on the client's preference: JSON
-        # clients pin 1/2 without a hello, v3 clients negotiate binary.
-        assert set(negotiated.values()) == {expected_wire}, query
 
 
 def test_deployment_wire_backends_match_protocol_outcomes():

@@ -1,6 +1,8 @@
 """AsyncLeaseServer + AsyncTcpTransport: event-loop serving, pipelining,
 correlation routing, connection caps, and reconnect resilience."""
 
+import gc
+import logging
 import socket
 import threading
 import time
@@ -15,6 +17,7 @@ from repro.crypto.keys import KeyGenerator
 from repro.net import codec
 from repro.net.aio import AsyncLeaseServer, AsyncTcpTransport
 from repro.net.endpoint import connect, endpoint_for
+from repro.net.errors import Overloaded
 from repro.net.network import NetworkConditions
 from repro.net.rpc import RpcError
 from repro.net.server import OVERLOAD_ERROR, LeaseServer
@@ -298,6 +301,34 @@ class TestConnectionCaps:
         finally:
             srv.stop()
 
+    @pytest.mark.parametrize("server_cls", [LeaseServer, AsyncLeaseServer])
+    @pytest.mark.parametrize("dial", [dial_tcp, dial_async])
+    def test_clients_over_the_cap_get_a_typed_overload(self, server_cls,
+                                                       dial):
+        """The server sheds an over-cap connection with one unsolicited
+        error frame.  Both clients must surface it as ``Overloaded`` —
+        the strict-ordered one reads it as the reply to its request, the
+        pipelining one matches it to no caller and fails them all —
+        rather than retrying into ``RetriesExhausted``."""
+        ras = RemoteAttestationService(accept_any_platform=True)
+        remote = SlRemote(ras)
+        remote.issue_license(LICENSE, POOL)
+        srv = server_cls(remote, port=0, max_connections=1)
+        srv.start()
+        holder = dial_async(*srv.address)
+        shed = dial(*srv.address)
+        try:
+            raw_init(holder, SgxMachine("holder"))  # occupies the slot
+            with pytest.raises(RpcError) as excinfo:
+                raw_init(shed, SgxMachine("shed"))
+            assert isinstance(excinfo.value.__cause__, Overloaded)
+            assert OVERLOAD_ERROR in str(excinfo.value)
+            assert srv.connections_shed >= 1
+        finally:
+            shed.close()
+            holder.close()
+            srv.stop()
+
     def test_connection_cap_validation(self):
         remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
         with pytest.raises(ValueError, match="max_connections"):
@@ -441,3 +472,46 @@ class TestShardedAsyncFleet:
     def test_unknown_io_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown io backend"):
             connect("sl+sharded://127.0.0.1:1?io=smoke-signals")
+
+
+class TestLifecycleHygiene:
+    """Stopping a server or dropping a client leaves nothing behind for
+    asyncio to complain about: no unhandled ``CancelledError`` from a
+    cancelled connection, no reader task destroyed while pending."""
+
+    @pytest.fixture()
+    def asyncio_errors(self, caplog):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+
+        def collect():
+            gc.collect()
+            return [record.getMessage() for record in caplog.records
+                    if record.name == "asyncio"]
+
+        return collect
+
+    def test_stop_with_a_live_connection_is_quiet(self, asyncio_errors):
+        ras = RemoteAttestationService(accept_any_platform=True)
+        srv = AsyncLeaseServer(SlRemote(ras), port=0)
+        srv.start()
+        endpoint = dial_tcp(*srv.address)
+        try:
+            raw_init(endpoint, SgxMachine("live"))
+            srv.stop()  # cancels the connection's serving task
+        finally:
+            endpoint.close()
+        assert asyncio_errors() == []
+
+    def test_dropped_async_transport_is_quiet(self, server,
+                                              asyncio_errors):
+        endpoint = dial_async(*server.address)
+        raw_init(endpoint, SgxMachine("dropped"))
+        assert server.open_connections == 1
+        del endpoint  # never closed
+        assert asyncio_errors() == []
+        # The transport's finalizer closed its connection.
+        deadline = time.time() + 5
+        while server.open_connections and time.time() < deadline:
+            time.sleep(0.01)
+        assert server.open_connections == 0
+        assert asyncio_errors() == []

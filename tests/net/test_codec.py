@@ -1,4 +1,5 @@
-"""Wire codec tests: every protocol message survives the wire unchanged."""
+"""Wire codec tests: every protocol message survives the wire unchanged,
+and nothing but an intact v3 frame decodes."""
 
 import json
 
@@ -58,8 +59,8 @@ def execution_tokens(draw):
     )
 
 
-# Fleet-internal replication/migration messages (WIRE_VERSION 2): the
-# same lossless-wire property must hold for them as for client traffic.
+# Fleet-internal replication/migration messages: the same lossless-wire
+# property must hold for them as for client traffic.
 migrating_notices = st.builds(
     MigratingNotice,
     license_id=license_ids,
@@ -164,9 +165,7 @@ plain_payloads = st.recursive(
 # ----------------------------------------------------------------------
 @given(protocol_messages)
 def test_every_protocol_message_survives_the_wire(message):
-    encoded = codec.encode_payload(message)
-    # Force an actual JSON round trip: what really goes over a socket.
-    rebuilt = codec.decode_payload(json.loads(json.dumps(encoded)))
+    rebuilt = codec.decode_value(codec.encode_value(message))
     assert rebuilt == message
     assert type(rebuilt) is type(message)
 
@@ -180,9 +179,7 @@ def test_to_wire_from_wire_inverse(message):
 
 @given(plain_payloads)
 def test_plain_payloads_survive_the_wire(payload):
-    rebuilt = codec.decode_payload(json.loads(json.dumps(
-        codec.encode_payload(payload)
-    )))
+    rebuilt = codec.decode_value(codec.encode_value(payload))
     assert rebuilt == payload
 
 
@@ -199,23 +196,55 @@ def test_response_envelope_round_trip(message):
 
 
 # ----------------------------------------------------------------------
-# Strictness: versioning, unknown types, error envelopes, framing
+# Strictness: one format, unknown types, error envelopes, framing
 # ----------------------------------------------------------------------
+def _msg_value(name: str, tag: int = 0x0B) -> bytes:
+    """A hand-built message value: tag, type name, empty field table."""
+    raw = name.encode()
+    return bytes([tag]) + len(raw).to_bytes(4, "big") + raw + b"\x00"
+
+
 def test_status_decodes_to_the_singleton():
-    rebuilt = codec.decode_payload(codec.encode_payload(Status.EXHAUSTED))
+    rebuilt = codec.decode_value(codec.encode_value(Status.EXHAUSTED))
     assert rebuilt is Status.EXHAUSTED  # `is` comparisons keep working
 
 
 def test_wrong_version_rejected():
-    envelope = json.loads(codec.encode_request("init", None).decode())
-    envelope["v"] = codec.WIRE_VERSION + 1
+    data = bytearray(codec.encode_request("init", None))
+    data[0] = codec.V3_MAGIC + 1  # a future revision's magic
     with pytest.raises(codec.CodecError, match="version"):
-        codec.decode_request(json.dumps(envelope).encode())
+        codec.decode_request(bytes(data))
+
+
+@pytest.mark.parametrize("decode", [codec.decode_request,
+                                    codec.decode_request_envelope,
+                                    codec.decode_reply,
+                                    codec.decode_response])
+def test_only_v3_frames_decode(decode):
+    """The CRC does not cover the magic byte, so the decoder checks it:
+    a JSON envelope and a v3 frame with only its magic byte flipped are
+    both rejected before anything else is parsed."""
+    json_frame = b'{"v":2,"kind":"request","id":1,"method":"init","body":null}'
+    with pytest.raises(codec.CodecError, match="magic"):
+        decode(json_frame)
+    for intact in (codec.encode_request("init", None, 1),
+                   codec.encode_response(None, 1)):
+        flipped = bytearray(intact)
+        flipped[0] ^= 0xFF
+        with pytest.raises(codec.CodecError, match="magic"):
+            decode(bytes(flipped))
 
 
 def test_unknown_message_type_rejected():
     with pytest.raises(codec.CodecError, match="unknown message type"):
-        codec.decode_payload({"__kind__": "msg", "type": "Pickle", "fields": {}})
+        codec.decode_value(_msg_value("Pickle"))
+
+
+def test_retired_wire_dict_tag_rejected():
+    """Every registered message is a dataclass, so the old free-form
+    dict tag (0x0C) is just an unknown tag."""
+    with pytest.raises(codec.CodecError, match="unknown v3 value tag 0xc"):
+        codec.decode_value(_msg_value("RenewRequest", tag=0x0C))
 
 
 def test_unregistered_object_rejected():
@@ -224,7 +253,21 @@ def test_unregistered_object_rejected():
             return {}
 
     with pytest.raises(codec.CodecError, match="not wire-encodable"):
-        codec.encode_payload(Rogue())
+        codec.encode_value(Rogue())
+
+
+def test_only_dataclasses_register():
+    class Rogue:
+        def to_wire(self):
+            return {}
+
+        @classmethod
+        def from_wire(cls, fields):
+            return cls()
+
+    with pytest.raises(codec.CodecError, match="not a dataclass"):
+        codec.register_message_type(Rogue)
+    assert "Rogue" not in codec.MESSAGE_TYPES
 
 
 def test_garbage_frame_rejected():
@@ -255,136 +298,42 @@ def test_frame_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Wire-format evolution: the v1/v2/v3 compatibility matrix
+# Version compatibility: the wire revisions a current peer still speaks
 # ----------------------------------------------------------------------
+#: Leading byte of each wire revision a decoder accepts.  The v1/v2
+#: JSON envelopes are retired, so v3 is the only row left.
+SUPPORTED_WIRE_MAGIC = {3: codec.V3_MAGIC}
+
+
 class TestVersionCompatMatrix:
-    """Every (emitter version, decoder) pairing that must interoperate.
-
-    The decoder sniffs the frame: v1/v2 are JSON envelopes (the v2
-    decoder accepts both), v3 is the binary framing — one decoder entry
-    point accepts all three.  Only an envelope claiming an unknown
-    future revision is rejected.
-    """
-
-    @pytest.mark.parametrize("version", codec.JSON_WIRE_VERSIONS)
-    def test_requests_from_json_versions_decode(self, version):
-        data = codec.encode_request("renew", ("lic", 3), request_id=9,
-                                    version=version)
-        assert json.loads(data.decode())["v"] == version
-        assert codec.decode_request(data) == ("renew", ("lic", 3), 9)
+    """Every supported emitter revision must decode through the one
+    decoder entry point; only the v3 binary framing remains."""
 
     def test_requests_from_v3_decode(self):
-        data = codec.encode_request("renew", ("lic", 3), request_id=9,
-                                    version=codec.WIRE_V3)
-        assert codec.is_binary_frame(data)
+        data = codec.encode_request("renew", ("lic", 3), request_id=9)
+        assert data[0] == SUPPORTED_WIRE_MAGIC[3]
         assert codec.decode_request(data) == ("renew", ("lic", 3), 9)
 
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
+    @pytest.mark.parametrize("version", sorted(SUPPORTED_WIRE_MAGIC))
     def test_responses_from_any_supported_version_decode(self, version):
-        data = codec.encode_response(Status.OK, 5, version=version)
+        data = codec.encode_response(Status.OK, 5)
+        assert data[0] == SUPPORTED_WIRE_MAGIC[version]
         assert codec.decode_response(data) is Status.OK
 
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
+    @pytest.mark.parametrize("version", sorted(SUPPORTED_WIRE_MAGIC))
     def test_error_envelopes_from_any_supported_version(self, version):
-        data = codec.encode_error("boom", 1, version=version)
+        data = codec.encode_error("boom", 1)
+        assert data[0] == SUPPORTED_WIRE_MAGIC[version]
         with pytest.raises(codec.RemoteCallError, match="boom"):
             codec.decode_response(data)
-
-    def test_unsupported_emission_rejected_up_front(self):
-        with pytest.raises(codec.CodecError, match="cannot emit"):
-            codec.encode_request("init", None, version=99)
-        with pytest.raises(codec.CodecError, match="cannot emit"):
-            codec.encode_response(None, version=0)
-
-    def test_future_version_rejected_on_decode(self):
-        envelope = json.loads(codec.encode_request("init", None).decode())
-        envelope["v"] = max(codec.SUPPORTED_WIRE_VERSIONS) + 1
-        with pytest.raises(codec.CodecError, match="version"):
-            codec.decode_request(json.dumps(envelope).encode())
-
-    def test_v2_decoder_tolerates_unknown_envelope_keys(self):
-        """Forward compatibility *within* v2: unknown metadata keys
-        (e.g. a shard routing hint) never break a decoder."""
-        envelope = json.loads(codec.encode_request("renew", ("lic", 1)).decode())
-        envelope["shard"] = "shard-3"
-        envelope["trace_id"] = "abc123"
-        method, payload, _ = codec.decode_request(
-            json.dumps(envelope).encode()
-        )
-        assert (method, payload) == ("renew", ("lic", 1))
-
-    def test_meta_attached_only_on_v2(self):
-        """A v2 emitter talking down to a v1 peer must not attach v2
-        metadata the older peer never specified."""
-        v2 = json.loads(codec.encode_request(
-            "renew", None, meta={"shard": "shard-1"}
-        ).decode())
-        assert v2["shard"] == "shard-1"
-        v1 = json.loads(codec.encode_request(
-            "renew", None, version=1, meta={"shard": "shard-1"}
-        ).decode())
-        assert "shard" not in v1
-
-    def test_v1_and_v2_envelopes_carry_identical_required_keys(self):
-        """v1 is a strict subset of v2: same required keys, so a v1
-        decoder given a meta-free v2 envelope differs only in ``v``."""
-        v1 = json.loads(codec.encode_request("renew", 7, 3, version=1).decode())
-        v2 = json.loads(codec.encode_request("renew", 7, 3, version=2).decode())
-        assert v1.pop("v") == 1 and v2.pop("v") == 2
-        assert v1 == v2
-
-    # -- the replication/migration message rows (WIRE_VERSION 2) -------
-    REPLICATION_ROWS = [
-        ("replicate", ReplicaBatch(source="shard-0", budget=64, deltas=(
-            ReplicaDelta(1, "grant", {"license_id": "lic",
-                                      "node_key": "slid:1", "units": 8}),
-            ReplicaDelta(2, "escrow", {"slid": 1, "root_key": 42}),
-        ))),
-        ("sync_snapshot", ShardSnapshot(
-            source="shard-0", seq=9, budget=64,
-            licenses={"lic": {"frozen": False}},
-            identity={"next_slid": 2, "clients": {}},
-        )),
-        ("promote", "shard-0"),
-    ]
-
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
-    @pytest.mark.parametrize("method,payload", REPLICATION_ROWS,
-                             ids=[row[0] for row in REPLICATION_ROWS])
-    def test_fleet_internal_requests_cross_any_supported_version(
-            self, version, method, payload):
-        """The replication surface rides the same envelope as client
-        traffic, so every (version, message) pairing must decode."""
-        data = codec.encode_request(method, payload, request_id=5,
-                                    version=version)
-        if version in codec.JSON_WIRE_VERSIONS:
-            # Force an actual JSON round trip: what crosses a socket.
-            data = json.dumps(json.loads(data.decode())).encode()
-        rebuilt_method, rebuilt, rid = codec.decode_request(data)
-        assert (rebuilt_method, rid) == (method, 5)
-        assert rebuilt == payload
-        assert type(rebuilt) is type(payload)
-
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
-    def test_migrating_notice_response_crosses_any_supported_version(
-            self, version):
-        """The typed retry-after envelope a frozen license answers with
-        — stale routers on either wire revision must understand it."""
-        notice = MigratingNotice(license_id="lic", retry_after_seconds=0.05,
-                                 new_owner="shard-2=127.0.0.1:4872")
-        data = codec.encode_response(notice, 7, version=version)
-        rebuilt = codec.decode_response(data)
-        assert rebuilt == notice
-        assert rebuilt.status is Status.MIGRATING
 
 
 # ----------------------------------------------------------------------
 # Correlation metadata: the pipelining contract on the wire
 # ----------------------------------------------------------------------
 class TestCorrelationMetadata:
-    """Corr ids ride the free-form v2 envelope metadata: a tagged
-    request is echoed back tagged, an untagged one stays untagged, and
-    a v1 envelope can carry no tag at all."""
+    """Corr ids ride the envelope metadata: a tagged request is echoed
+    back tagged, and an untagged one stays untagged."""
 
     def test_request_corr_id_round_trips(self):
         data = codec.encode_request("renew", ("lic", 1), request_id=4,
@@ -424,26 +373,11 @@ class TestCorrelationMetadata:
         with pytest.raises(codec.CodecError, match="reserved"):
             codec.encode_response(None, meta={"body": "fake"})
 
-    def test_v1_envelopes_never_carry_corr_tags(self):
-        """Strict-ordered interop: a v1 emission silently sheds the tag
-        (the peer matches by position) and a v1 reply decodes with empty
-        meta, so the reader falls back to request-id matching."""
-        request = json.loads(codec.encode_request(
-            "renew", None, version=1, meta={codec.CORRELATION_KEY: 8}
-        ).decode())
-        assert codec.CORRELATION_KEY not in request
-        reply = codec.decode_reply(codec.encode_response(None, 8, version=1))
-        assert reply.meta == {}
-        assert reply.request_id == 8  # the fallback routing key
-
     @given(protocol_messages, st.integers(min_value=1, max_value=2**31))
     def test_tagged_round_trip_is_lossless(self, message, corr):
         data = codec.encode_response(message, corr,
                                      meta={codec.CORRELATION_KEY: corr})
-        # Force an actual JSON round trip: what really crosses a socket.
-        reply = codec.decode_reply(
-            json.dumps(json.loads(data.decode())).encode()
-        )
+        reply = codec.decode_reply(data)
         assert reply.deliver() == message
         assert reply.meta[codec.CORRELATION_KEY] == corr
 
@@ -452,16 +386,14 @@ class TestCorrelationMetadata:
 # The v3 binary framing: lossless, and hostile to corruption
 # ----------------------------------------------------------------------
 class TestBinaryWireV3:
-    """The binary revision must be exactly as lossless as the JSON ones
-    — and, being length-prefixed binary, provably resistant to
+    """The binary format must be lossless — and provably resistant to
     corruption: every flipped byte and every truncation raises a typed
     :class:`~repro.net.codec.CodecError`, never a mis-parse."""
 
     @given(protocol_messages, st.integers(min_value=0, max_value=2**31))
     def test_request_frames_round_trip(self, message, request_id):
-        data = codec.encode_request("renew", message, request_id,
-                                    version=codec.WIRE_V3)
-        assert codec.is_binary_frame(data)
+        data = codec.encode_request("renew", message, request_id)
+        assert data[0] == codec.V3_MAGIC
         method, payload, rid = codec.decode_request(data)
         assert (method, rid) == ("renew", request_id)
         assert payload == message
@@ -470,19 +402,18 @@ class TestBinaryWireV3:
     @given(protocol_messages)
     def test_response_frames_round_trip(self, message):
         rebuilt = codec.decode_response(
-            codec.encode_response(message, 7, version=codec.WIRE_V3)
+            codec.encode_response(message, 7)
         )
         assert rebuilt == message
         assert type(rebuilt) is type(message)
 
     @given(plain_payloads)
     def test_plain_payloads_round_trip(self, payload):
-        data = codec.encode_response(payload, 1, version=codec.WIRE_V3)
+        data = codec.encode_response(payload, 1)
         assert codec.decode_response(data) == payload
 
     def test_error_frames_are_routable_then_raise(self):
         data = codec.encode_error("LicenseUnknown: lic-x", 3,
-                                  version=codec.WIRE_V3,
                                   meta={codec.CORRELATION_KEY: 5})
         reply = codec.decode_reply(data)
         assert reply.meta[codec.CORRELATION_KEY] == 5
@@ -491,7 +422,6 @@ class TestBinaryWireV3:
 
     def test_corr_metadata_rides_v3(self):
         data = codec.encode_request("renew", ("lic", 1), 4,
-                                    version=codec.WIRE_V3,
                                     meta={codec.CORRELATION_KEY: 77})
         method, payload, rid, meta = codec.decode_request_envelope(data)
         assert (method, payload, rid) == ("renew", ("lic", 1), 4)
@@ -499,36 +429,59 @@ class TestBinaryWireV3:
 
     def test_meta_cannot_clobber_reserved_envelope_keys(self):
         with pytest.raises(codec.CodecError, match="reserved"):
-            codec.encode_request("renew", None, version=codec.WIRE_V3,
-                                 meta={"method": "steal"})
+            codec.encode_request("renew", None, meta={"method": "steal"})
 
     def test_bytes_travel_raw_not_hex(self):
         """The format's point: byte fields ship as bytes, and the whole
-        frame undercuts the equivalent JSON envelope."""
+        frame undercuts even the hex spelling of its blob."""
         blob = bytes(range(256))
         request = RenewRequest(slid=1, license_id="lic", license_blob=blob,
                                network_reliability=1.0, health=1.0)
-        v2 = codec.encode_request("renew", request)
-        v3 = codec.encode_request("renew", request, version=codec.WIRE_V3)
-        assert blob in v3
-        assert len(v3) < len(v2)
-
-    def test_wire_version_of_sniffs_both_framings(self):
-        assert codec.wire_version_of(
-            codec.encode_request("renew", None, version=1)
-        ) == 1
-        assert codec.wire_version_of(
-            codec.encode_request("renew", None, version=2)
-        ) == 2
-        assert codec.wire_version_of(
-            codec.encode_request("renew", None, version=codec.WIRE_V3)
-        ) == codec.WIRE_V3
+        data = codec.encode_request("renew", request)
+        assert blob in data
+        assert blob.hex().encode() not in data
+        assert len(data) < len(blob.hex())
 
     def test_json_envelope_claiming_v3_rejected(self):
-        envelope = json.loads(codec.encode_request("init", None).decode())
-        envelope["v"] = codec.WIRE_V3
+        envelope = {"v": 3, "kind": "request", "id": 0, "method": "init",
+                    "body": None}
         with pytest.raises(codec.CodecError, match="version"):
             codec.decode_request(json.dumps(envelope).encode())
+
+    # -- the fleet-internal rows -----------------------------------------
+    REPLICATION_ROWS = [
+        ("replicate", ReplicaBatch(source="shard-0", budget=64, deltas=(
+            ReplicaDelta(1, "grant", {"license_id": "lic",
+                                      "node_key": "slid:1", "units": 8}),
+            ReplicaDelta(2, "escrow", {"slid": 1, "root_key": 42}),
+        ))),
+        ("sync_snapshot", ShardSnapshot(
+            source="shard-0", seq=9, budget=64,
+            licenses={"lic": {"frozen": False}},
+            identity={"next_slid": 2, "clients": {}},
+        )),
+        ("promote", "shard-0"),
+    ]
+
+    @pytest.mark.parametrize("method,payload", REPLICATION_ROWS,
+                             ids=[row[0] for row in REPLICATION_ROWS])
+    def test_fleet_internal_requests_cross_the_wire(self, method, payload):
+        """The replication surface rides the same envelope as client
+        traffic, so every fleet-internal message must decode."""
+        data = codec.encode_request(method, payload, request_id=5)
+        rebuilt_method, rebuilt, rid = codec.decode_request(data)
+        assert (rebuilt_method, rid) == (method, 5)
+        assert rebuilt == payload
+        assert type(rebuilt) is type(payload)
+
+    def test_migrating_notice_response_crosses_the_wire(self):
+        """The typed retry-after envelope a frozen license answers with
+        — stale routers must understand it."""
+        notice = MigratingNotice(license_id="lic", retry_after_seconds=0.05,
+                                 new_owner="shard-2=127.0.0.1:4872")
+        rebuilt = codec.decode_response(codec.encode_response(notice, 7))
+        assert rebuilt == notice
+        assert rebuilt.status is Status.MIGRATING
 
     # -- the hostile sweeps --------------------------------------------
     def _sample_frame(self) -> bytes:
@@ -537,7 +490,7 @@ class TestBinaryWireV3:
                                network_reliability=0.5, health=1.0)
         return codec.encode_request(
             "renew_batch", BatchRequest(requests=(request,)), 9,
-            version=codec.WIRE_V3, meta={codec.CORRELATION_KEY: 3},
+            meta={codec.CORRELATION_KEY: 3},
         )
 
     def test_every_single_byte_corruption_is_detected(self):
@@ -563,7 +516,7 @@ class TestBinaryWireV3:
     def test_fuzzed_corruption_never_misparses(self, message, data_strategy):
         """Randomized reinforcement of the deterministic sweep: any
         byte, any new value — decode raises or returns the original."""
-        data = codec.encode_response(message, 2, version=codec.WIRE_V3)
+        data = codec.encode_response(message, 2)
         offset = data_strategy.draw(
             st.integers(min_value=0, max_value=len(data) - 1)
         )
@@ -578,147 +531,6 @@ class TestBinaryWireV3:
 
 
 # ----------------------------------------------------------------------
-# Negotiation: the first exchange on every connection
-# ----------------------------------------------------------------------
-class TestWireNegotiation:
-    def test_hello_payload_offers_everything_up_to_preference(self):
-        assert codec.hello_payload(3) == {"supported": [1, 2, 3],
-                                          "preferred": 3}
-        assert codec.hello_payload(2) == {"supported": [1, 2],
-                                          "preferred": 2}
-
-    @pytest.mark.parametrize("preferred", codec.SUPPORTED_WIRE_VERSIONS)
-    @pytest.mark.parametrize("ceiling", codec.SUPPORTED_WIRE_VERSIONS)
-    def test_highest_common_version_wins(self, preferred, ceiling):
-        offered = codec.hello_payload(preferred)["supported"]
-        assert codec.choose_wire_version(offered, ceiling) \
-            == min(preferred, ceiling)
-
-    def test_no_common_version_is_a_codec_error(self):
-        with pytest.raises(codec.CodecError, match="no common"):
-            codec.choose_wire_version([99])
-
-    def test_malformed_offer_is_a_codec_error(self):
-        with pytest.raises(codec.CodecError, match="malformed"):
-            codec.choose_wire_version([None])
-
-
-# ----------------------------------------------------------------------
-# Live negotiation matrix: real servers, mixed-version fleets
-# ----------------------------------------------------------------------
-class TestMixedVersionFleet:
-    """The compat matrix against live TCP servers, including a sharded
-    fleet whose members cap the wire at different versions."""
-
-    @pytest.mark.parametrize("ceiling", codec.SUPPORTED_WIRE_VERSIONS)
-    def test_v3_client_settles_on_each_server_ceiling(self, ceiling):
-        from repro.core.sl_remote import SlRemote
-        from repro.net.endpoint import connect
-        from repro.net.server import LeaseServer
-        from repro.sgx import RemoteAttestationService, SgxMachine
-
-        ras = RemoteAttestationService(accept_any_platform=True)
-        remote = SlRemote(ras)
-        blob = remote.issue_license("lic-mix", 10_000).license_blob()
-        server = LeaseServer(remote, port=0, wire=ceiling)
-        host, port = server.start()
-        endpoint = connect(f"sl://{host}:{port}?wire=3")
-        machine = SgxMachine("nego")
-        try:
-            report = machine.local_authority.generate_report(1, 1, nonce=1)
-            init = endpoint.call(
-                "init",
-                InitRequest(slid=None, report=report,
-                            platform_secret=machine.platform_secret),
-                clock=machine.clock, stats=machine.stats,
-            )
-            renew = endpoint.call(
-                "renew",
-                RenewRequest(slid=init.slid, license_id="lic-mix",
-                             license_blob=blob,
-                             network_reliability=1.0, health=1.0),
-                clock=machine.clock,
-            )
-            assert renew.status is Status.OK
-            # The connection settled on min(client preference, ceiling),
-            # and the server recorded it.
-            assert endpoint.transport.negotiated_wire == ceiling
-            snapshot = server.wire_stats.snapshot()
-            assert snapshot["connections_by_wire"] == {str(ceiling): 1}
-        finally:
-            endpoint.close()
-            server.stop()
-
-    def test_mixed_version_sharded_fleet(self):
-        """shard-0 speaks v3 binary, shard-1 is pinned to v2 JSON: one
-        client fleet renews across both (including a coalesced batch
-        the router splits by owner) and each connection settles on its
-        own server's ceiling."""
-        from repro.core.sl_remote import SlRemote
-        from repro.net.endpoint import connect
-        from repro.net.server import LeaseServer
-        from repro.net.sharding import HashRing, default_shard_names
-        from repro.sgx import RemoteAttestationService, SgxMachine
-
-        names = default_shard_names(2)
-        ring = HashRing(names)
-        ceilings = {names[0]: codec.WIRE_V3, names[1]: codec.WIRE_VERSION}
-        ras = RemoteAttestationService(accept_any_platform=True)
-        remotes = {name: SlRemote(ras) for name in names}
-        blobs = {}
-        for index in range(6):
-            license_id = f"lic-{index}"
-            owner = ring.shard_for(license_id)
-            blobs[license_id] = remotes[owner].issue_license(
-                license_id, 10_000
-            ).license_blob()
-        assert len({ring.shard_for(lid) for lid in blobs}) == 2
-        servers = {
-            name: LeaseServer(remotes[name], port=0, wire=ceilings[name])
-            for name in names
-        }
-        authority = ",".join(
-            "{}:{}".format(*servers[name].start()) for name in names
-        )
-        endpoint = connect(f"sl+sharded://{authority}?wire=3")
-        machine = SgxMachine("mixed-fleet")
-        try:
-            report = machine.local_authority.generate_report(1, 1, nonce=1)
-            init = endpoint.call(
-                "init",
-                InitRequest(slid=None, report=report,
-                            platform_secret=machine.platform_secret),
-                clock=machine.clock, stats=machine.stats,
-            )
-            batch = BatchRequest(requests=tuple(
-                RenewRequest(slid=init.slid, license_id=license_id,
-                             license_blob=blob,
-                             network_reliability=1.0, health=1.0)
-                for license_id, blob in sorted(blobs.items())
-            ))
-            reply = endpoint.call("renew_batch", batch, clock=machine.clock)
-            assert isinstance(reply, BatchResponse)
-            assert len(reply.responses) == len(blobs)
-            assert all(slot.status is Status.OK for slot in reply.responses)
-            negotiated = {
-                name: endpoint.transport.transports[name].negotiated_wire
-                for name in names
-            }
-            assert negotiated == {names[0]: codec.WIRE_V3,
-                                  names[1]: codec.WIRE_VERSION}
-            # Every grant landed on its ring owner's ledger, regardless
-            # of which wire revision carried it.
-            for license_id in blobs:
-                owner = remotes[ring.shard_for(license_id)]
-                outstanding = owner.ledger(license_id).outstanding
-                assert outstanding.get(f"slid:{init.slid}", 0) > 0
-        finally:
-            endpoint.close()
-            for server in servers.values():
-                server.stop()
-
-
-# ----------------------------------------------------------------------
 # Telemetry field evolution: older peers and the growing RenewRequest
 # ----------------------------------------------------------------------
 class _LegacyRenewRequest:
@@ -726,9 +538,9 @@ class _LegacyRenewRequest:
 
 
 class TestTelemetryFieldCompat:
-    """``RenewRequest`` grew trailing telemetry fields; every older
-    peer — v1/v2 JSON envelopes and v3 binaries built from the previous
-    dataclass — must keep decoding, with the telemetry defaulted."""
+    """``RenewRequest`` grew trailing telemetry fields; a peer built
+    from the previous dataclass must keep decoding, with the telemetry
+    defaulted."""
 
     TELEMETRY = {"rtt_seconds": 0.0, "retries": 0, "reconnects": 0}
 
@@ -741,33 +553,9 @@ class TestTelemetryFieldCompat:
 
     @given(message=renew_requests)
     def test_v3_round_trip_preserves_telemetry(self, message):
-        data = codec.encode_request("renew", message, request_id=1,
-                                    version=codec.WIRE_V3)
+        data = codec.encode_request("renew", message, request_id=1)
         _, rebuilt, _ = codec.decode_request(data)
         assert rebuilt == message
-
-    @pytest.mark.parametrize("version", codec.JSON_WIRE_VERSIONS)
-    def test_json_round_trip_preserves_telemetry(self, version):
-        message = self._request()
-        data = codec.encode_request("renew", message, request_id=1,
-                                    version=version)
-        data = json.dumps(json.loads(data.decode())).encode()
-        _, rebuilt, _ = codec.decode_request(data)
-        assert rebuilt == message
-
-    @pytest.mark.parametrize("version", codec.JSON_WIRE_VERSIONS)
-    def test_json_peer_without_telemetry_decodes_defaulted(self, version):
-        """A v1/v2 peer built before the telemetry fields omits the
-        keys entirely; ``from_wire`` fills the defaults."""
-        message = self._request()
-        data = codec.encode_request("renew", message, request_id=1,
-                                    version=version)
-        envelope = json.loads(data.decode())
-        wire_fields = envelope["body"]["fields"]
-        for key in self.TELEMETRY:
-            del wire_fields[key]
-        _, rebuilt, _ = codec.decode_request(json.dumps(envelope).encode())
-        assert rebuilt == self._request(**self.TELEMETRY)
 
     def test_older_v3_peer_short_field_table_decodes_defaulted(self):
         """An older v3 peer's field table stops at ``weight``: the
@@ -791,8 +579,7 @@ class TestTelemetryFieldCompat:
         try:
             codec.MESSAGE_TYPES["RenewRequest"] = legacy
             codec._FIELD_TABLES.pop("RenewRequest", None)
-            data = codec.encode_request("renew", old, request_id=4,
-                                        version=codec.WIRE_V3)
+            data = codec.encode_request("renew", old, request_id=4)
         finally:
             codec.MESSAGE_TYPES["RenewRequest"] = real
             codec._FIELD_TABLES.pop("RenewRequest", None)
@@ -820,8 +607,7 @@ class TestTelemetryFieldCompat:
         try:
             codec.MESSAGE_TYPES["RenewRequest"] = future
             codec._FIELD_TABLES.pop("RenewRequest", None)
-            data = codec.encode_request("renew", new, request_id=4,
-                                        version=codec.WIRE_V3)
+            data = codec.encode_request("renew", new, request_id=4)
         finally:
             codec.MESSAGE_TYPES["RenewRequest"] = real
             codec._FIELD_TABLES.pop("RenewRequest", None)

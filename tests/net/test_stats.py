@@ -79,9 +79,7 @@ class TestWireRoundTrips:
     def test_codec_registration_round_trip(self):
         for message in (sample_renewal(), sample_replication(),
                         ServerStats(renewal=sample_renewal())):
-            encoded = codec.encode_payload(message)
-            rebuilt = codec.decode_payload(
-                json.loads(json.dumps(encoded)))
+            rebuilt = codec.decode_value(codec.encode_value(message))
             assert rebuilt == message
 
     def test_format_stats_renders_every_section(self):
@@ -154,9 +152,12 @@ class TestStatsCliVerb:
 
     def test_stats_json_is_the_raw_envelope(self, threaded_server, capsys):
         host, port = threaded_server.address
+        # A report counts the requests served before it, so probe twice.
+        assert main(["stats", f"sl://{host}:{port}"]) == 0
+        capsys.readouterr()
         assert main(["stats", f"sl://{host}:{port}", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         report = payload[f"{host}:{port}"]
         stats = ServerStats.from_wire(report)
         assert stats.io == "threads"
-        assert stats.requests_served >= 1  # the probe itself
+        assert stats.requests_served >= 1  # the first probe

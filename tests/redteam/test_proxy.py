@@ -95,8 +95,8 @@ class TestTamper:
         with CaptureProxy(host, port) as tap:
             url = (f"sl://{tap.host}:{tap.port}"
                    f"?timeout=5&max_attempts=2&reconnect_attempts=2")
-            # Let hello/init through, corrupt every frame after them.
-            tap.set_plan("c2s", NetFaultPlan(corrupt_every=1, start_after=2))
+            # Let init through, corrupt every frame after it.
+            tap.set_plan("c2s", NetFaultPlan(corrupt_every=1, start_after=1))
             with pytest.raises(RpcError) as excinfo:
                 run_client(url, renewals=1)
             assert "CodecError" in str(excinfo.value)
@@ -109,7 +109,7 @@ class TestTamper:
         with CaptureProxy(host, port) as tap:
             url = (f"sl://{tap.host}:{tap.port}"
                    f"?timeout=5&max_attempts=2&reconnect_attempts=2")
-            tap.set_plan("s2c", NetFaultPlan(corrupt_every=1, start_after=2))
+            tap.set_plan("s2c", NetFaultPlan(corrupt_every=1, start_after=1))
             with pytest.raises(RpcError) as excinfo:
                 run_client(url, renewals=1)
             assert isinstance(excinfo.value.__cause__, TamperedFrame)
@@ -120,7 +120,7 @@ class TestTamper:
             url = (f"sl://{tap.host}:{tap.port}"
                    f"?timeout=5&max_attempts=2&reconnect_attempts=2"
                    f"&reconnect_backoff=0.05")
-            tap.set_plan("c2s", NetFaultPlan(corrupt_every=1, start_after=2))
+            tap.set_plan("c2s", NetFaultPlan(corrupt_every=1, start_after=1))
             with pytest.raises(RpcError):
                 run_client(url, renewals=1)
             tap.set_plan("c2s", None)
