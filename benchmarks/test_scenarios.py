@@ -172,13 +172,13 @@ def _stop(processes):
 
 
 def _fleet_url(ports):
-    # Pipelined async client transports and a short gather
-    # window so concurrent renewals from the shared worker pool
-    # coalesce into BatchRequest frames (the handle_renew_batch
-    # admission path is part of what this bench proves).
+    # A short gather window so concurrent renewals from the shared
+    # worker pool coalesce into BatchRequest frames (the
+    # handle_renew_batch admission path is part of what this bench
+    # proves); the worker threads pipeline on each shard's socket.
     authority = ",".join(f"127.0.0.1:{port}" for port in ports)
     return (f"sl+sharded://{authority}"
-            f"?io=async&batch_window=0.002"
+            f"?batch_window=0.002"
             f"&timeout=60&replicas={REPLICAS}")
 
 

@@ -266,7 +266,7 @@ def test_batched_renewals_beat_the_baseline_by_5x(
         )
         binary_v3 = measure_config(
             f"v3, {SHARED_ENDPOINTS} batching endpoints",
-            f"sl+async://{host}:{port}?batch_window={BATCH_WINDOW}",
+            f"sl://{host}:{port}?batch_window={BATCH_WINDOW}",
             shared_endpoints=SHARED_ENDPOINTS,
         )
         return unbatched_v3, binary_v3

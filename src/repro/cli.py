@@ -470,13 +470,10 @@ def cmd_stats(args) -> int:
     from repro.net.stats import ServerStats, format_stats
     from repro.sim.clock import Clock
 
-    parsed = parse_endpoint(args.endpoint)
-    io = dict(parsed.params).get("io", "threads")
-    scheme = "sl+async" if io == "async" else "sl"
     reports = {}
-    for host, port in parsed.addresses:
+    for host, port in parse_endpoint(args.endpoint).addresses:
         address = f"{host}:{port}"
-        endpoint = connect(f"{scheme}://{address}?io={io}")
+        endpoint = connect(f"sl://{address}")
         try:
             raw = endpoint.call("_server_stats", None, clock=Clock())
         finally:
@@ -584,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--endpoint", default=None,
                             metavar="sl://HOST:PORT",
                             help="connect to SL-Remote via an endpoint URL "
-                                 "(sl://, sl+async://, sl+sharded://); "
+                                 "(sl://, sl+sharded://); "
                                  "overrides --transport")
     run_parser.add_argument("--batch-window", type=float, default=None,
                             metavar="SECONDS",

@@ -150,9 +150,8 @@ class Cluster:
             else:
                 endpoint = connect(self.endpoint, conditions=link.conditions)
         elif self._wire_server is not None:
-            io = "async" if self.transport == "async" else "threads"
             endpoint = connect(
-                endpoint_for([self._wire_server.address], io=io),
+                endpoint_for([self._wire_server.address]),
                 conditions=link.conditions,
             )
         else:

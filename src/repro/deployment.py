@@ -160,9 +160,8 @@ class SecureLeaseDeployment:
 
                 self._wire_server = LeaseServer(self.remote)
             self._wire_server.start()
-            io = "async" if transport == "async" else "threads"
             self.endpoint = connect(
-                endpoint_for([self._wire_server.address], io=io),
+                endpoint_for([self._wire_server.address]),
                 conditions=self.link.conditions,
             )
         elif transport in ("in-process", "serialized"):

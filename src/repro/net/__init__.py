@@ -7,20 +7,21 @@ package supplies:
 
 * a latency/reliability-parameterised channel (:mod:`repro.net.network`),
 * a binary wire codec for every protocol message (:mod:`repro.net.codec`),
-* pluggable transports — in-process, serialized loopback, and real TCP —
-  behind one :class:`~repro.net.transport.Transport` interface
+* pluggable transports — in-process, serialized loopback, and real TCP
+  (one socket client that pipelines concurrent callers) — behind one
+  :class:`~repro.net.transport.Transport` interface
   (:mod:`repro.net.transport`),
 * one endpoint factory, :func:`~repro.net.endpoint.connect`, taking
-  URL-style endpoints (``sl://``, ``sl+async://``, ``sl+sharded://``,
-  ``sl+inproc://``, ``sl+serialized://``) with every client knob in one
+  URL-style endpoints (``sl://``, ``sl+sharded://``, ``sl+inproc://``,
+  ``sl+serialized://``) with every client knob in one
   :class:`~repro.net.endpoint.EndpointConfig` (:mod:`repro.net.endpoint`),
 * a typed transport error hierarchy (:mod:`repro.net.errors`),
 * an RPC endpoint dispatching protocol messages to SL-Remote handlers
   (:mod:`repro.net.rpc`),
 * a socket server for running SL-Remote as its own process
   (:mod:`repro.net.server`),
-* an event-loop server and a pipelining, correlation-tagged client for
-  fleets of mostly-idle connections (:mod:`repro.net.aio`),
+* an event-loop server for fleets of mostly-idle connections
+  (:mod:`repro.net.aio`),
 * consistent-hash sharding of the license ledgers across N servers with
   a routing layer (:mod:`repro.net.sharding`), and
 * a quorum control plane: depth-K follower replication of shard state
@@ -29,7 +30,7 @@ package supplies:
   (:mod:`repro.net.replication`).
 """
 
-from repro.net.aio import AsyncLeaseServer, AsyncTcpTransport
+from repro.net.aio import AsyncLeaseServer
 from repro.net.codec import CodecError, RemoteCallError
 from repro.net.endpoint import (
     ENDPOINT_SCHEMES,
@@ -83,7 +84,6 @@ from repro.net.transport import (
 
 __all__ = [
     "AsyncLeaseServer",
-    "AsyncTcpTransport",
     "BootstrapChunk",
     "CodecError",
     "DialError",

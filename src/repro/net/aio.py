@@ -1,46 +1,29 @@
-"""Event-loop lease serving and a pipelining socket client.
+"""Event-loop lease serving.
 
 The paper's deployment shape is one vendor SL-Remote in front of a
 large fleet of mostly-idle SL-Locals that wake up only to renew their
 sub-GCLs.  That is the many-idle-connections regime where the
 thread-per-connection :class:`~repro.net.server.LeaseServer` stops
 scaling long before the per-license locks do: every idle socket costs a
-resident OS thread.  This module holds connections on a single
-``asyncio`` event loop instead, so an idle SL-Local costs one reader
-callback and nothing else:
-
-* :class:`AsyncLeaseServer` — one event loop accepts and frames
-  thousands of connections; decoded requests are dispatched into a
-  **bounded** worker pool (``run_in_executor``), so the license-lock-
-  holding :class:`~repro.core.sl_remote.SlRemote` handlers stay
-  synchronous and the sharding release's concurrency semantics are
-  untouched.  Responses are written as handlers finish — out of order
-  when the client opted into pipelining, strictly in order otherwise.
-* :class:`AsyncTcpTransport` — a drop-in
-  :class:`~repro.net.transport.Transport` that keeps **multiple
-  requests in flight on one socket**.  Each request envelope is tagged
-  with a correlation id in the envelope metadata
-  (:data:`~repro.net.codec.CORRELATION_KEY`); a background reader
-  matches responses back to callers whatever order they return in.
-  Transports share one module-level event-loop thread, so a hundred
-  client handles cost one thread, not a hundred.
+resident OS thread.  :class:`AsyncLeaseServer` holds connections on a
+single ``asyncio`` event loop instead, so an idle SL-Local costs one
+reader callback and nothing else.  Decoded requests are dispatched into
+a **bounded** worker pool (``run_in_executor``), so the license-lock-
+holding :class:`~repro.core.sl_remote.SlRemote` handlers stay
+synchronous and the sharding release's concurrency semantics are
+untouched.  Clients reach it over ``sl://`` with the same
+:class:`~repro.net.transport.TcpTransport` as the threaded server.
 
 Ordering contract
 -----------------
-A request **without** a correlation tag — the strict-ordered
-:class:`~repro.net.transport.TcpTransport` — is dispatched and
-answered before the next frame of that connection is read, exactly like
-the threaded server, so position-matching clients never see a reorder.
-A request **with** a tag runs concurrently and its response carries the
-tag back.  One connection can be as pipelined as its client asked for,
-and no more.
-
-Connection resilience mirrors :class:`~repro.net.transport.TcpTransport`:
-dialing has its own reconnect budget with exponential backoff, separate
-from the per-call retry budget, and a mid-session server restart is
-survived by re-dialing and simply continuing — every request carries the
-SLID, and all server-side session state (identity, ledgers, escrowed
-root keys) is keyed by it, not by the socket.
+A request **without** a correlation tag
+(:data:`~repro.net.codec.CORRELATION_KEY`) is dispatched and answered
+before the next frame of that connection is read, exactly like the
+threaded server.  A request **with** a tag runs concurrently and its
+response carries the tag back.  ``TcpTransport`` tags a request only
+when other calls are already in flight on its socket, and matches every
+reply by its request id, so one connection is as pipelined as its
+callers make it, and no more.
 """
 
 from __future__ import annotations
@@ -48,31 +31,14 @@ from __future__ import annotations
 import asyncio
 import socket as _socket
 import threading
-import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.net import codec
-from repro.net.endpoint import EndpointConfig
-from repro.net.errors import (
-    DialError,
-    Overloaded,
-    RetriesExhausted,
-    TamperedFrame,
-    TransportError,
-)
-from repro.core.protocol import BatchRequest, BatchResponse
 from repro.net.server import WireStats, attach_server_stats, overload_frame
-from repro.net.transport import (
-    HandlerTable,
-    RenewCoalescer,
-    RTT_EWMA_ALPHA,
-    Transport,
-)
-from repro.net.network import NetworkConditions
+from repro.net.transport import HandlerTable
 from repro.sgx.driver import SgxStats, ThreadSafeSgxStats
-from repro.sim.clock import Clock, ThreadSafeClock, seconds_to_cycles
+from repro.sim.clock import Clock, ThreadSafeClock
 
 
 class AsyncLeaseServer:
@@ -348,415 +314,3 @@ class AsyncLeaseServer:
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass  # peer vanished between dispatch and reply
-
-
-# ----------------------------------------------------------------------
-# The pipelining client
-# ----------------------------------------------------------------------
-#: One event-loop thread shared by every AsyncTcpTransport in the
-#: process — client handles are cheap, the loop is the resource.
-_client_loop: Optional[asyncio.AbstractEventLoop] = None
-_client_loop_lock = threading.Lock()
-
-
-def _shared_client_loop() -> asyncio.AbstractEventLoop:
-    global _client_loop
-    with _client_loop_lock:
-        if _client_loop is None or _client_loop.is_closed():
-            loop = asyncio.new_event_loop()
-            ready = threading.Event()
-
-            def run() -> None:
-                asyncio.set_event_loop(loop)
-                loop.call_soon(ready.set)
-                loop.run_forever()
-
-            thread = threading.Thread(
-                target=run, name="lease-aio-client", daemon=True
-            )
-            thread.start()
-            ready.wait(timeout=10.0)
-            _client_loop = loop
-        return _client_loop
-
-
-class AsyncTcpTransport(Transport):
-    """Pipelining socket client for a lease server.
-
-    The synchronous :meth:`request` contract is unchanged — SL-Local
-    and the shard router call it exactly like
-    :class:`~repro.net.transport.TcpTransport` — but many caller
-    threads can have requests in flight **on the same socket** at once:
-    each request is tagged with a correlation id in the envelope
-    metadata, and a reader task on the shared client event loop routes
-    each response (in whatever order the server finishes them) back to
-    the caller that asked.
-
-    Retry/backoff, virtual-RTT accounting, and the reconnect budget all
-    mirror ``TcpTransport``, so ``observed_reliability`` and the link
-    charging model read identically across backends.
-    """
-
-    name = "async-tcp"
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        conditions: Optional[NetworkConditions] = None,
-        timeout_seconds: float = 5.0,
-        max_attempts: int = 5,
-        backoff_seconds: float = 0.05,
-        reconnect_attempts: int = 4,
-        reconnect_backoff_seconds: float = 0.05,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-        config: Optional[EndpointConfig] = None,
-    ) -> None:
-        # Knob validation is EndpointConfig's job (shared with the
-        # threaded transport); the legacy keyword form builds one.
-        if config is None:
-            config = EndpointConfig(
-                timeout_seconds=timeout_seconds,
-                max_attempts=max_attempts,
-                backoff_seconds=backoff_seconds,
-                reconnect_attempts=reconnect_attempts,
-                reconnect_backoff_seconds=reconnect_backoff_seconds,
-            )
-        self.config = config
-        self.host = host
-        self.port = port
-        self.conditions = conditions if conditions is not None else NetworkConditions()
-        self.timeout_seconds = config.timeout_seconds
-        self.max_attempts = config.max_attempts
-        self.backoff_seconds = config.backoff_seconds
-        self.reconnect_attempts = config.reconnect_attempts
-        self.reconnect_backoff_seconds = config.reconnect_backoff_seconds
-        self._loop = loop
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._conn_lock: Optional[asyncio.Lock] = None
-        #: corr -> future, loop-confined.
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._next_corr = 1
-        self._ever_connected = False
-        self._counters_lock = threading.Lock()
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.reconnects = 0
-        #: Reply frames that failed to decode (tampered/corrupted):
-        #: surfaced as typed :class:`TamperedFrame` errors, never
-        #: silently retried.
-        self.frames_rejected = 0
-        #: EWMA of the *real* round-trip time of completed exchanges —
-        #: the latency half of the telemetry renewals carry upstream.
-        self.rtt_ewma_seconds = 0.0
-        self._closed = False
-        #: Closes the live connection if this transport is dropped
-        #: without :meth:`close` (one per connection).
-        self._abandon: Optional[weakref.finalize] = None
-        #: Per-frame link accounting: every physical frame is charged
-        #: once with its actual serialized length, so a batch of N
-        #: coalesced renewals bills one frame, not N messages.
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-        window = getattr(config, "batch_window", 0.0)
-        self.coalescer: Optional[RenewCoalescer] = (
-            RenewCoalescer(window) if window > 0 else None
-        )
-
-    # -- the round trip (caller thread) --------------------------------
-    def request(self, method: str, payload: object,
-                clock: Optional[Clock] = None,
-                stats: Optional[SgxStats] = None):
-        if clock is None:
-            raise TransportError(
-                "AsyncTcpTransport cannot bypass the network: a real wire "
-                "has no local fast path"
-            )
-        if self._closed:
-            raise TransportError("transport is closed")
-        if method == "renew" and self.coalescer is not None:
-            # The caller's own virtual RTT, then one seat in the shared
-            # frame; the leader's send path skips its per-call RTT so the
-            # frame itself is never double-billed.
-            clock.advance(
-                seconds_to_cycles(self.conditions.round_trip_seconds)
-            )
-            return self.coalescer.submit(
-                payload, lambda batch: self._send_batch(batch, clock, stats)
-            )
-        return self._request_single(method, payload, clock, stats)
-
-    def _send_batch(self, payloads: list, clock: Clock,
-                    stats: Optional[SgxStats]):
-        response = self._request_single(
-            "renew_batch", BatchRequest(requests=tuple(payloads)),
-            clock, stats, charge_rtt=False,
-        )
-        if not isinstance(response, BatchResponse) \
-                or len(response.responses) != len(payloads):
-            raise TransportError(
-                f"malformed batch response for {len(payloads)} renewals: "
-                f"{type(response).__name__}"
-            )
-        return list(response.responses)
-
-    def _request_single(self, method: str, payload: object,
-                        clock: Clock, stats: Optional[SgxStats],
-                        charge_rtt: bool = True):
-        loop = self._ensure_loop()
-        last_error: Optional[Exception] = None
-        for attempt in range(1, self.max_attempts + 1):
-            # Virtual accounting first: a lost/timed-out request is
-            # detected a full RTT later, same as SimulatedLink.
-            if charge_rtt or attempt > 1:
-                clock.advance(
-                    seconds_to_cycles(self.conditions.round_trip_seconds)
-                )
-            with self._counters_lock:
-                self.messages_sent += 1
-            future = asyncio.run_coroutine_threadsafe(
-                self._round_trip(method, payload), loop
-            )
-            started = time.monotonic()
-            try:
-                result = future.result()
-                self._note_rtt(time.monotonic() - started)
-                return result
-            except codec.RemoteCallError:
-                # The server answered — a complete round trip.
-                self._note_rtt(time.monotonic() - started)
-                raise  # retrying cannot help
-            except Overloaded:
-                raise  # the server answered by shedding; same story
-            except DialError:
-                # A whole reconnect budget just failed; re-dialing
-                # max_attempts more times would only multiply budgets.
-                with self._counters_lock:
-                    self.messages_dropped += 1
-                raise
-            except codec.CodecError as exc:
-                # The reply failed to decode: tampering evidence, not
-                # loss.  Retrying would hide the tamper (and race a
-                # desynchronized stream); the reader loop already tore
-                # the connection down, so surface the typed error.
-                with self._counters_lock:
-                    self.messages_dropped += 1
-                    self.frames_rejected += 1
-                raise TamperedFrame(
-                    f"async tcp reply for {method!r} from "
-                    f"{self.host}:{self.port} failed to decode: {exc}",
-                    host=self.host, port=self.port,
-                ) from exc
-            except (ConnectionError, OSError, EOFError) as exc:
-                with self._counters_lock:
-                    self.messages_dropped += 1
-                last_error = exc
-                if attempt < self.max_attempts:
-                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-        raise RetriesExhausted(
-            f"async tcp request {method!r} to {self.host}:{self.port} failed "
-            f"after {self.max_attempts} attempts: {last_error}",
-            attempts=self.max_attempts,
-        )
-
-    def close(self) -> None:
-        self._closed = True
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        asyncio.run_coroutine_threadsafe(
-            self._teardown(ConnectionError("transport closed")), loop
-        ).result(timeout=5.0)
-
-    def _note_rtt(self, seconds: float) -> None:
-        with self._counters_lock:
-            if self.rtt_ewma_seconds <= 0.0:
-                self.rtt_ewma_seconds = seconds
-            else:
-                self.rtt_ewma_seconds += RTT_EWMA_ALPHA * (
-                    seconds - self.rtt_ewma_seconds
-                )
-
-    @property
-    def observed_reliability(self) -> float:
-        """Empirical delivery rate, mirroring SimulatedLink's probe."""
-        if self.messages_sent == 0:
-            return self.conditions.reliability
-        return (self.messages_sent - self.messages_dropped) / self.messages_sent
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self._loop = _shared_client_loop()
-        return self._loop
-
-    # -- loop-confined internals ---------------------------------------
-    async def _round_trip(self, method: str, payload: object):
-        reader, writer = await self._ensure_connection()
-        corr = self._next_corr
-        self._next_corr += 1
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[corr] = future
-        frame = codec.frame(codec.encode_request(
-            method, payload, corr, meta={codec.CORRELATION_KEY: corr},
-        ))
-        try:
-            try:
-                writer.write(frame)
-                await writer.drain()
-                # One physical frame = one charge, whatever it coalesces.
-                with self._counters_lock:
-                    self.bytes_sent += len(frame)
-                    self.frames_sent += 1
-            except (ConnectionError, OSError) as exc:
-                # The socket died under the write: drop it now so the
-                # caller's next attempt re-dials instead of re-failing.
-                await self._teardown(exc)
-                raise
-            # A response timeout does NOT tear the connection down: a
-            # late reply is harmless here (its future is gone and the
-            # frame is simply dropped), unlike the strict-ordered client
-            # where it would desynchronize position matching.
-            reply: codec.WireReply = await asyncio.wait_for(
-                future, timeout=self.timeout_seconds
-            )
-        finally:
-            self._pending.pop(corr, None)
-        return reply.deliver()
-
-    async def _ensure_connection(
-        self
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if self._conn_lock is None:
-            self._conn_lock = asyncio.Lock()
-        async with self._conn_lock:
-            if self._writer is not None:
-                return self._reader, self._writer
-            last_error: Optional[OSError] = None
-            for attempt in range(1, self.reconnect_attempts + 1):
-                try:
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(self.host, self.port),
-                        timeout=self.timeout_seconds,
-                    )
-                except OSError as exc:
-                    last_error = exc
-                    if attempt < self.reconnect_attempts:
-                        await asyncio.sleep(
-                            self.reconnect_backoff_seconds
-                            * (2 ** (attempt - 1))
-                        )
-                    continue
-                self._reader, self._writer = reader, writer
-                if self._ever_connected:
-                    with self._counters_lock:
-                        self.reconnects += 1
-                self._ever_connected = True
-                loop = asyncio.get_running_loop()
-                self._reader_task = task = loop.create_task(
-                    _reader_loop(weakref.ref(self), reader)
-                )
-                self._abandon = weakref.finalize(
-                    self, _close_abandoned, loop, writer, task
-                )
-                self._abandon.atexit = False
-                return reader, writer
-            raise DialError(
-                f"could not (re)connect to {self.host}:{self.port} after "
-                f"{self.reconnect_attempts} dial attempts: {last_error}",
-                host=self.host, port=self.port,
-                attempts=self.reconnect_attempts,
-            )
-
-    def _route(self, data: bytes) -> None:
-        """Hand one reply frame to the caller it correlates to."""
-        with self._counters_lock:
-            self.bytes_received += len(data) + codec.FRAME_HEADER.size
-            self.frames_received += 1
-        reply = codec.decode_reply(data)
-        # A pipelining server echoes our tag; a strict-ordered peer
-        # omits it but echoes the request id, which we set to the same
-        # value — either way the reply finds its caller.
-        corr = reply.meta.get(codec.CORRELATION_KEY, reply.request_id)
-        future = self._pending.get(corr)
-        if future is not None and not future.done():
-            future.set_result(reply)
-        elif reply.kind == "error" and reply.meta.get("overloaded"):
-            # The server shed this connection on accept, before reading
-            # any request: its one frame answers every call in flight.
-            raise Overloaded(reply.error or "server overloaded")
-
-    async def _teardown(self, exc: BaseException) -> None:
-        """Drop the connection and fail every in-flight caller."""
-        writer, self._reader, self._writer = self._writer, None, None
-        task, self._reader_task = self._reader_task, None
-        if task is not None and task is not asyncio.current_task():
-            task.cancel()
-        if self._abandon is not None:
-            self._abandon.detach()
-            self._abandon = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        error = exc if isinstance(exc, Exception) else \
-            ConnectionError(str(exc))
-        for future in list(self._pending.values()):
-            if not future.done():
-                if isinstance(error, (codec.CodecError, Overloaded)):
-                    # Keep tamper evidence and load shedding typed: the
-                    # caller's retry loop must see a CodecError
-                    # (surfaced as TamperedFrame) or Overloaded, not a
-                    # retriable ConnectionError.
-                    future.set_exception(error)
-                else:
-                    future.set_exception(
-                        ConnectionError(
-                            f"connection lost mid-flight: {error}"
-                        )
-                    )
-        self._pending.clear()
-
-
-async def _reader_loop(transport_ref, reader: asyncio.StreamReader) -> None:
-    """Route incoming frames to whichever caller they correlate to.
-
-    Holds its transport only weakly, and only between reads: a
-    transport dropped without :meth:`AsyncTcpTransport.close` can then
-    be collected, and its finalizer cancels this task instead of the
-    loop destroying it while still pending.
-    """
-    try:
-        while True:
-            header = await reader.readexactly(codec.FRAME_HEADER.size)
-            data = await reader.readexactly(codec.frame_length(header))
-            transport = transport_ref()
-            if transport is None:
-                return
-            transport._route(data)
-            del transport
-    except (asyncio.IncompleteReadError, ConnectionError, OSError,
-            codec.CodecError, Overloaded) as exc:
-        transport = transport_ref()
-        if transport is not None:
-            await transport._teardown(exc)
-
-
-def _close_abandoned(loop: asyncio.AbstractEventLoop,
-                     writer: asyncio.StreamWriter,
-                     task: asyncio.Task) -> None:
-    """Finalizer of a dropped transport: close its connection on the
-    loop thread (the garbage collector may run this on any thread)."""
-    def close() -> None:
-        task.cancel()
-        writer.close()
-
-    try:
-        loop.call_soon_threadsafe(close)
-    except RuntimeError:
-        pass  # the loop is already closed; nothing left to cancel

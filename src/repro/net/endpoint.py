@@ -2,9 +2,8 @@
 
 A single factory takes URL-style endpoints::
 
-    connect("sl://127.0.0.1:4870")                      # threaded TCP
-    connect("sl+async://127.0.0.1:4870")                # pipelining TCP
-    connect("sl+sharded://h1:4870,h2:4871?io=async")    # routed fleet
+    connect("sl://127.0.0.1:4870")                      # one server
+    connect("sl+sharded://h1:4870,h2:4871")             # routed fleet
     connect("sl+sharded://h1:4870,h2:4871?replicas=1")  # + failover
     connect("sl+inproc://", remote=remote, link=link)   # loopback
     connect("sl+serialized://", remote=remote, link=link)
@@ -27,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 #: transport family they select.
 ENDPOINT_SCHEMES = {
     "sl": "tcp",
-    "sl+async": "async-tcp",
     "sl+sharded": "shard-router",
     "sl+inproc": "in-process",
     "sl+serialized": "serialized",
@@ -44,7 +42,7 @@ class EndpointConfig:
     ``timeout_seconds``/``max_attempts``/``backoff_seconds`` govern the
     per-call retry budget; ``reconnect_attempts``/
     ``reconnect_backoff_seconds`` the separate dial budget;
-    ``io``/``ring_replicas`` the sharded fleet shape;
+    ``ring_replicas`` the sharded fleet shape;
     ``migrate_retries`` bounds how many :class:`~repro.core.protocol.
     MigratingNotice` retry-after waits a router absorbs before raising
     :class:`~repro.net.errors.Migrating`; ``replicas > 0`` declares the
@@ -65,7 +63,6 @@ class EndpointConfig:
     backoff_seconds: float = 0.05
     reconnect_attempts: int = 4
     reconnect_backoff_seconds: float = 0.05
-    io: str = "threads"
     ring_replicas: int = 64
     migrate_retries: int = 40
     replicas: int = 0
@@ -82,10 +79,6 @@ class EndpointConfig:
             raise ValueError("timeout_seconds must be positive")
         if self.backoff_seconds < 0 or self.reconnect_backoff_seconds < 0:
             raise ValueError("backoff seconds must be non-negative")
-        if self.io not in ("threads", "async"):
-            raise ValueError(
-                f"unknown io backend {self.io!r}; choose 'threads' or 'async'"
-            )
         if self.ring_replicas < 1:
             raise ValueError("ring_replicas must be >= 1")
         if self.migrate_retries < 0:
@@ -110,7 +103,6 @@ _QUERY_FIELDS = {
     "backoff": ("backoff_seconds", float),
     "reconnect_attempts": ("reconnect_attempts", int),
     "reconnect_backoff": ("reconnect_backoff_seconds", float),
-    "io": ("io", str),
     "ring_replicas": ("ring_replicas", int),
     "migrate_retries": ("migrate_retries", int),
     "replicas": ("replicas", int),
@@ -288,25 +280,13 @@ def connect(endpoint: str,
             f"{parsed.scheme}:// server with --data-dir instead"
         )
 
-    if cfg.io == "async":
-        from repro.net.aio import AsyncTcpTransport as transport_cls
-    else:
-        from repro.net.transport import TcpTransport as transport_cls
+    from repro.net.transport import TcpTransport
 
     def dial(host: str, port: int):
-        return transport_cls(host, port, conditions=conditions, config=cfg)
+        return TcpTransport(host, port, conditions=conditions, config=cfg)
 
     if parsed.scheme == "sl":
-        if cfg.io == "async":
-            raise ValueError("sl:// is the threaded client; use sl+async://")
         return RemoteEndpoint(dial(*parsed.addresses[0]))
-    if parsed.scheme == "sl+async":
-        from repro.net.aio import AsyncTcpTransport
-
-        return RemoteEndpoint(
-            AsyncTcpTransport(*parsed.addresses[0], conditions=conditions,
-                              config=cfg)
-        )
 
     # sl+sharded://
     from repro.net.sharding import (
@@ -329,20 +309,16 @@ def connect(endpoint: str,
 
 
 def endpoint_for(addresses: Sequence[Tuple[str, int]],
-                 io: str = "threads",
                  shard_names: Optional[Sequence[str]] = None,
                  params: Sequence[Tuple[str, str]] = ()) -> str:
     """The canonical URL for a set of server addresses.
 
-    One address yields ``sl://`` (or ``sl+async://``); several yield a
-    ``sl+sharded://`` fleet endpoint with ``io`` folded into the query.
+    One address yields ``sl://``; several yield a ``sl+sharded://``
+    fleet endpoint.  Either IO backend of the server is reached the
+    same way.
     """
     addresses = list(addresses)
     if len(addresses) == 1 and shard_names is None:
-        scheme = "sl+async" if io == "async" else "sl"
-        return format_endpoint(scheme, addresses, params=params)
-    extra = list(params)
-    if io != "threads":
-        extra.insert(0, ("io", io))
+        return format_endpoint("sl", addresses, params=params)
     return format_endpoint("sl+sharded", addresses, shard_names=shard_names,
-                           params=extra)
+                           params=params)

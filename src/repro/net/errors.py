@@ -23,9 +23,11 @@ The hierarchy::
                                     and bounded retries did not outlast
                                     the freeze window
 
-Both socket transports (:class:`~repro.net.transport.TcpTransport`,
-:class:`~repro.net.aio.AsyncTcpTransport`) and the shard router
-(:mod:`repro.net.sharding`) raise from this hierarchy; the legacy name
+The socket client (:class:`~repro.net.transport.TcpTransport`) and the
+shard router (:mod:`repro.net.sharding`) raise from this hierarchy; a
+failure that one reply frame causes (a tampered reply, the overload
+envelope, a dead connection) is raised in every call then in flight on
+that socket.  The legacy name
 ``repro.net.transport.TransportError`` is an alias of the base class,
 so existing ``except TransportError`` call sites keep working and the
 RPC layer's :class:`~repro.net.rpc.RpcError` wrapping is unchanged.

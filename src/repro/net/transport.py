@@ -11,13 +11,15 @@ through a :class:`Transport`, so the *same* SL-Local code runs against:
   (:mod:`repro.net.codec`).  Anything that would break over a real
   network — shared object identity, unserializable fields — breaks
   loudly here, while determinism is fully preserved.
-* :class:`TcpTransport` — a real socket client for an SL-Remote served
-  by :class:`repro.net.server.LeaseServer` in another process, with
-  length-prefixed framing, request timeouts, and retry-with-backoff.
-  Each attempt still charges one RTT of *virtual* time to the caller's
-  clock, folding the real wire into the SimulatedLink accounting model
-  (an unreliable server shows up as longer renewal latencies, exactly
-  like a lossy simulated link).
+* :class:`TcpTransport` — the one socket client for an SL-Remote served
+  in another process (:class:`repro.net.server.LeaseServer` or
+  :class:`repro.net.aio.AsyncLeaseServer`), with length-prefixed
+  framing, request timeouts, and retry-with-backoff.  Many caller
+  threads can keep calls in flight on its one socket; whichever of them
+  is waiting reads the replies for all.  Each attempt still charges one
+  RTT of *virtual* time to the caller's clock, folding the real wire
+  into the SimulatedLink accounting model (an unreliable server shows
+  up as longer renewal latencies, exactly like a lossy simulated link).
 
 Handlers needing the caller's clock/stats (the remote-attestation path
 charges its 3.5 s to the *caller*) declare it by accepting ``clock`` /
@@ -316,8 +318,19 @@ class RenewCoalescer:
                 member.event.set()
 
 
+class _PendingCall:
+    """One request's seat in :class:`TcpTransport`'s in-flight table."""
+
+    __slots__ = ("reply", "error", "done")
+
+    def __init__(self) -> None:
+        self.reply: Optional[codec.WireReply] = None
+        self.error: Optional[BaseException] = None
+        self.done = False
+
+
 class TcpTransport(Transport):
-    """Socket client for an SL-Remote behind :class:`~repro.net.server.LeaseServer`.
+    """Socket client for an SL-Remote behind a lease server.
 
     One persistent connection, length-prefixed binary frames.  A request
     that times out or hits a broken connection is retried with
@@ -326,6 +339,24 @@ class TcpTransport(Transport):
     accounting model), and real-world waiting happens via socket
     timeouts.  Application-level errors reported by the server are
     *not* retried — they surface immediately.
+
+    Pipelining: many threads may have calls in flight on the one socket.
+    Sending (dial, request id, ``sendall``) takes one lock; each call
+    then parks in a ``{request_id: call}`` table.  Whichever waiter finds
+    no reader active becomes the reader: it reads reply frames with no
+    lock held, files each under its request id, and hands the role on
+    when its own reply arrives.  No thread exists beyond the callers'.
+    A call that finds nothing else in flight sends a plain frame; only
+    overlapping calls carry ``{CORRELATION_KEY: request_id}``, which
+    lets the event-loop server answer them out of order (the threaded
+    server answers in order either way).
+
+    One reply can fail every call in flight: a read timeout or socket
+    error (retried), a reply that will not decode (:class:`TamperedFrame`,
+    never retried), the server's overload envelope (:class:`Overloaded`)
+    and an error envelope answering no pending call — the server's
+    rejection of a request frame it could not decode.  Each drops the
+    connection.
 
     Connection resilience: dialing has its **own** budget
     (``reconnect_attempts`` tries with ``reconnect_backoff_seconds``
@@ -376,7 +407,14 @@ class TcpTransport(Transport):
         self.reconnect_attempts = config.reconnect_attempts
         self.reconnect_backoff_seconds = config.reconnect_backoff_seconds
         self._sock: Optional[socket.socket] = None
-        self._lock = threading.Lock()
+        #: Covers dial, request-id assignment and ``sendall``.
+        self._send_lock = threading.Lock()
+        #: Guards ``_sock``, ``_pending`` and ``_reading``; waiters for a
+        #: reply (or for the reader role) park on it.
+        self._cond = threading.Condition(threading.Lock())
+        self._pending: Dict[int, _PendingCall] = {}
+        self._reading = False
+        self._counters_lock = threading.Lock()
         self._request_id = 0
         self._ever_connected = False
         self.messages_sent = 0
@@ -405,7 +443,10 @@ class TcpTransport(Transport):
 
     # -- connection management -----------------------------------------
     def _connection(self) -> socket.socket:
-        """The live socket, (re)dialing on the reconnect budget if needed."""
+        """The live socket, (re)dialing on the reconnect budget if needed.
+
+        Called with the send lock held.
+        """
         if self._sock is not None:
             return self._sock
         last_error: Optional[OSError] = None
@@ -422,7 +463,8 @@ class TcpTransport(Transport):
                     )
                 continue
             sock.settimeout(self.timeout_seconds)
-            self._sock = sock
+            with self._cond:
+                self._sock = sock
             if self._ever_connected:
                 self.reconnects += 1
             self._ever_connected = True
@@ -434,17 +476,29 @@ class TcpTransport(Transport):
             attempts=self.reconnect_attempts,
         )
 
-    def _drop_connection(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+    def _drop(self, sock: socket.socket,
+              make_error: Callable[[], BaseException]) -> None:
+        """Close ``sock``; if it is the live one, fail every call on it."""
+        with self._cond:
+            if self._sock is sock:
+                self._sock = None
+                for call in self._pending.values():
+                    call.error = make_error()
+                    call.done = True
+                self._pending.clear()
+                self._cond.notify_all()
+        try:
+            # Wakes a reader blocked in recv() on this socket.
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
 
     def close(self) -> None:
-        with self._lock:
-            self._drop_connection()
+        with self._send_lock:
+            sock = self._sock
+            if sock is not None:
+                self._drop(sock, lambda: ConnectionError("transport closed"))
 
     # -- the round trip ------------------------------------------------
     def request(self, method: str, payload: object,
@@ -485,50 +539,46 @@ class TcpTransport(Transport):
                         clock: Clock, stats: Optional[SgxStats],
                         charge_rtt: bool = True):
         last_error: Optional[Exception] = None
-        with self._lock:
-            for attempt in range(1, self.max_attempts + 1):
-                # Virtual accounting first: a lost/timed-out request is
-                # detected a full RTT later, same as SimulatedLink.
-                if charge_rtt or attempt > 1:
-                    clock.advance(
-                        seconds_to_cycles(self.conditions.round_trip_seconds)
-                    )
+        for attempt in range(1, self.max_attempts + 1):
+            # Virtual accounting first: a lost/timed-out request is
+            # detected a full RTT later, same as SimulatedLink.
+            if charge_rtt or attempt > 1:
+                clock.advance(
+                    seconds_to_cycles(self.conditions.round_trip_seconds)
+                )
+            with self._counters_lock:
                 self.messages_sent += 1
-                started = time.monotonic()
-                try:
-                    result = self._round_trip(method, payload)
-                    self._note_rtt(time.monotonic() - started)
-                    return result
-                except codec.RemoteCallError:
-                    # The server answered — a complete round trip.
-                    self._note_rtt(time.monotonic() - started)
-                    raise  # retrying cannot help
-                except DialError:
-                    # A whole reconnect budget just failed; the per-call
-                    # budget re-dialing max_attempts more times would only
-                    # multiply the two budgets against a dead host.
-                    self.messages_dropped += 1
-                    raise
-                except codec.CodecError as exc:
-                    # The reply failed to decode: tampering evidence,
-                    # not loss.  The stream is desynchronized (we may
-                    # have stopped mid-frame) and a silent retry would
-                    # hide the tamper, so drop the connection and
-                    # surface the typed error immediately.
-                    self.messages_dropped += 1
-                    self.frames_rejected += 1
-                    self._drop_connection()
-                    raise TamperedFrame(
-                        f"tcp reply for {method!r} from "
-                        f"{self.host}:{self.port} failed to decode: {exc}",
-                        host=self.host, port=self.port,
-                    ) from exc
-                except OSError as exc:
-                    self.messages_dropped += 1
-                    last_error = exc
-                    self._drop_connection()
-                    if attempt < self.max_attempts:
-                        time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+            started = time.monotonic()
+            try:
+                result = self._round_trip(method, payload)
+                self._note_rtt(time.monotonic() - started)
+                return result
+            except codec.RemoteCallError:
+                # The server answered — a complete round trip.
+                self._note_rtt(time.monotonic() - started)
+                raise  # retrying cannot help
+            except DialError:
+                # A whole reconnect budget just failed; the per-call
+                # budget re-dialing max_attempts more times would only
+                # multiply the two budgets against a dead host.
+                self._note_dropped()
+                raise
+            except codec.CodecError as exc:
+                # The reply failed to decode: tampering evidence, not
+                # loss.  The reader already dropped the desynchronized
+                # stream, and a silent retry would hide the tamper, so
+                # surface the typed error immediately.
+                self._note_dropped()
+                raise TamperedFrame(
+                    f"tcp reply for {method!r} from "
+                    f"{self.host}:{self.port} failed to decode: {exc}",
+                    host=self.host, port=self.port,
+                ) from exc
+            except OSError as exc:
+                self._note_dropped()
+                last_error = exc
+                if attempt < self.max_attempts:
+                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
         raise RetriesExhausted(
             f"tcp request {method!r} to {self.host}:{self.port} failed after "
             f"{self.max_attempts} attempts: {last_error}",
@@ -536,33 +586,121 @@ class TcpTransport(Transport):
         )
 
     def _round_trip(self, method: str, payload: object):
-        sock = self._connection()
-        self._request_id += 1
-        frame = codec.frame(
-            codec.encode_request(method, payload, self._request_id)
-        )
-        sock.sendall(frame)
-        # One physical frame = one charge, whatever it coalesces.
-        self.bytes_sent += len(frame)
-        self.frames_sent += 1
-        data = read_frame(sock)
-        self.bytes_received += len(data) + codec.FRAME_HEADER.size
-        self.frames_received += 1
-        reply = codec.decode_reply(data)
-        if reply.kind == "error" and reply.meta.get("overloaded"):
-            # The server answered by shedding this connection; it will
-            # close the socket next, so drop our side pre-emptively.
-            self._drop_connection()
-            raise Overloaded(reply.error or "server overloaded")
-        return reply.deliver()
+        call = self._send(method, payload)
+        self._await_reply(call)
+        if call.error is not None:
+            raise call.error
+        return call.reply.deliver()
+
+    def _send(self, method: str, payload: object) -> _PendingCall:
+        with self._send_lock:
+            self._request_id += 1
+            request_id = self._request_id
+            call = None
+            while call is None:
+                sock = self._connection()
+                with self._cond:
+                    if self._sock is not sock:
+                        continue  # a reader dropped it meanwhile: re-dial
+                    # A lone call sends the plain frame; only a call that
+                    # overlaps others asks the server to pipeline it.
+                    meta = ({codec.CORRELATION_KEY: request_id}
+                            if self._pending else None)
+                    call = self._pending[request_id] = _PendingCall()
+            try:
+                frame = codec.frame(
+                    codec.encode_request(method, payload, request_id,
+                                         meta=meta)
+                )
+            except codec.CodecError:
+                with self._cond:
+                    self._pending.pop(request_id, None)
+                raise
+            try:
+                sock.sendall(frame)
+            except OSError:
+                # The connection is dead for writing, but the server may
+                # already have answered (its overload envelope, say).
+                # Park the call and let the reader drain what the peer
+                # did send; its EOF or error fails every call on the
+                # socket.
+                try:
+                    sock.shutdown(socket.SHUT_WR)
+                except OSError:
+                    pass
+                return call
+            # One physical frame = one charge, whatever it coalesces.
+            self.bytes_sent += len(frame)
+            self.frames_sent += 1
+        return call
+
+    def _await_reply(self, call: _PendingCall) -> None:
+        """Block until ``call`` is answered, reading for everyone if no
+        other waiter is."""
+        with self._cond:
+            while not call.done and self._reading:
+                self._cond.wait()
+            if call.done:
+                return
+            # An unanswered call is on the live socket: dropping a
+            # socket fails every call still pending on it.
+            sock = self._sock
+            self._reading = True
+        try:
+            self._read_until(call, sock)
+        finally:
+            with self._cond:
+                self._reading = False
+                self._cond.notify_all()
+
+    def _read_until(self, call: _PendingCall, sock: socket.socket) -> None:
+        while not call.done:
+            try:
+                data = read_frame(sock)
+                self.bytes_received += len(data) + codec.FRAME_HEADER.size
+                self.frames_received += 1
+                reply = codec.decode_reply(data)
+            except codec.CodecError as exc:
+                with self._counters_lock:
+                    self.frames_rejected += 1
+                self._drop(sock, lambda: codec.CodecError(str(exc)))
+                return
+            except OSError as exc:
+                self._drop(sock, lambda: type(exc)(*exc.args))
+                return
+            overloaded = reply.kind == "error" and reply.meta.get("overloaded")
+            with self._cond:
+                answered = (None if overloaded
+                            else self._pending.pop(reply.request_id, None))
+                if answered is not None:
+                    answered.reply = reply
+                    answered.done = True
+                    self._cond.notify_all()
+                    continue
+            if reply.kind != "error":
+                continue  # answers no pending call; nobody is waiting
+            if overloaded:
+                # The server shed this connection and is closing it.
+                self._drop(sock, lambda: Overloaded(
+                    reply.error or "server overloaded"))
+            else:
+                # An error for no pending call: the server could not
+                # decode a request frame, so it cannot say whose it was.
+                self._drop(sock, lambda: codec.RemoteCallError(reply.error))
+            return
+
+    def _note_dropped(self) -> None:
+        with self._counters_lock:
+            self.messages_dropped += 1
 
     def _note_rtt(self, seconds: float) -> None:
-        if self.rtt_ewma_seconds <= 0.0:
-            self.rtt_ewma_seconds = seconds
-        else:
-            self.rtt_ewma_seconds += RTT_EWMA_ALPHA * (
-                seconds - self.rtt_ewma_seconds
-            )
+        with self._counters_lock:
+            if self.rtt_ewma_seconds <= 0.0:
+                self.rtt_ewma_seconds = seconds
+            else:
+                self.rtt_ewma_seconds += RTT_EWMA_ALPHA * (
+                    seconds - self.rtt_ewma_seconds
+                )
 
     @property
     def observed_reliability(self) -> float:

@@ -40,7 +40,6 @@ param_values = {
     "reconnect_attempts": st.integers(min_value=1, max_value=9).map(str),
     "reconnect_backoff": st.floats(min_value=0.0, max_value=1.0,
                                    allow_nan=False).map(str),
-    "io": st.sampled_from(["threads", "async"]),
     "ring_replicas": st.integers(min_value=1, max_value=128).map(str),
     "migrate_retries": st.integers(min_value=0, max_value=99).map(str),
     "replicas": st.integers(min_value=0, max_value=2).map(str),
@@ -85,7 +84,6 @@ class TestEndpointGrammar:
 
     def test_every_scheme_parses(self):
         assert parse_endpoint("sl://127.0.0.1:4870").scheme == "sl"
-        assert parse_endpoint("sl+async://h:1").scheme == "sl+async"
         assert parse_endpoint("sl+sharded://a:1,b:2").addresses == (
             ("a", 1), ("b", 2)
         )
@@ -107,7 +105,7 @@ class TestEndpointGrammar:
         ("sl://:4870", "empty host"),
         ("sl://", "names no host:port"),
         ("sl://h:1,g:2", "exactly one host:port"),
-        ("sl+async://h:1,g:2", "exactly one host:port"),
+        ("sl+async://h:1,g:2", "unknown endpoint scheme"),
         ("sl://h:1?bogus=1", "unknown endpoint parameter"),
         ("sl://h:1?naked", "not k=v"),
         ("sl+sharded://a:1,b:2?names=onlyone",
@@ -129,10 +127,7 @@ class TestEndpointGrammar:
 
     def test_endpoint_for_picks_the_canonical_scheme(self):
         assert endpoint_for([("h", 1)]) == "sl://h:1"
-        assert endpoint_for([("h", 1)], io="async") == "sl+async://h:1"
         assert endpoint_for([("a", 1), ("b", 2)]) == "sl+sharded://a:1,b:2"
-        assert endpoint_for([("a", 1), ("b", 2)], io="async") == \
-            "sl+sharded://a:1,b:2?io=async"
         assert endpoint_for([("a", 1)], shard_names=["east"]) == \
             "sl+sharded://a:1?names=east"
 
@@ -148,7 +143,6 @@ class TestEndpointConfig:
         ("timeout_seconds", -1.0, "timeout_seconds"),
         ("backoff_seconds", -0.1, "backoff"),
         ("reconnect_backoff_seconds", -0.1, "backoff"),
-        ("io", "fibers", "unknown io backend"),
         ("ring_replicas", 0, "ring_replicas"),
         ("migrate_retries", -1, "migrate_retries"),
         ("replicas", -1, "replicas"),
@@ -170,10 +164,6 @@ class TestEndpointConfig:
         folded = parsed.apply(base.replace(max_attempts=3))
         assert folded.max_attempts == 7  # URL wins
         assert folded.timeout_seconds == 1.0  # untouched knobs survive
-
-    def test_connect_validates_scheme_io_pairing(self):
-        with pytest.raises(ValueError, match="threaded client"):
-            connect("sl://127.0.0.1:1?io=async")
 
     def test_loopback_schemes_demand_their_wiring(self):
         with pytest.raises(ValueError, match="pass remote= and link="):

@@ -29,9 +29,22 @@ def server():
     srv.stop()
 
 
+#: Endpoints dialed by the running test; closed after it, pass or fail.
+_dialed = []
+
+
+@pytest.fixture(autouse=True)
+def _close_dialed_endpoints():
+    yield
+    while _dialed:
+        _dialed.pop().close()
+
+
 def dial(host, port, **overrides):
-    """A threaded-TCP endpoint for one server address."""
-    return connect(f"sl://{host}:{port}", **overrides)
+    """An ``sl://`` endpoint for one server address, closed after the test."""
+    endpoint = connect(f"sl://{host}:{port}", **overrides)
+    _dialed.append(endpoint)
+    return endpoint
 
 
 def make_client(server, name, seed, rtt=0.004):

@@ -134,7 +134,7 @@ class TestStatsCliVerb:
 
     def test_stats_against_async_server(self, async_server, capsys):
         host, port = async_server.address
-        assert main(["stats", f"sl+async://{host}:{port}"]) == 0
+        assert main(["stats", f"sl://{host}:{port}"]) == 0
         out = capsys.readouterr().out
         assert "[async]" in out
 
