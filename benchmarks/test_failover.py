@@ -54,8 +54,8 @@ LAG_BUDGET = 128
 #: in-flight grants a death can strand — not in absolute units.
 LAG_GRANTS = 4
 POOL = 10**9
-#: Load runs this long before the kill (replication must have taken at
-#: least one anti-entropy snapshot pass, interval 0.5 s) and this long
+#: Load runs this long before the kill (every follower must have had
+#: its startup state transfer and be living on deltas) and this long
 #: after it (the promoted ledgers must prove they serve steady state).
 WARMUP_SECONDS = 1.5 if SMOKE else 2.5
 CHAOS_SECONDS = 1.5 if SMOKE else 3.0
@@ -412,7 +412,7 @@ def test_two_simultaneous_deaths_promote_by_quorum(tmp_path, benchmark,
     """The quorum control plane's headline: SIGKILL a license's primary
     AND its first follower in the same instant.  Depth-2 replication
     means the second follower still holds the ledger (seeded by a
-    WAL-shipped bootstrap at fleet start), epoch-fenced promotion makes
+    state transfer at fleet start), epoch-fenced promotion makes
     it the unique new primary, and the client crowd recovers with zero
     double-grants and forfeiture bounded by the adaptive lag budget."""
     names = default_shard_names(Q_SHARDS)
@@ -493,17 +493,18 @@ def test_two_simultaneous_deaths_promote_by_quorum(tmp_path, benchmark,
     # The quorum control plane is visible in every survivor's stats:
     # epoch moved past 0 when the deaths were fenced, the quorum is the
     # fleet default, and at least one cold follower was seeded by a
-    # WAL-shipped bootstrap (the fleet started with --data-dir).
-    bootstraps_applied = 0
+    # full-state transfer (sent only to a cold, broken or restarted
+    # peer; warm followers live on deltas alone).
+    snapshots_applied = 0
     for name, report in stats.items():
         replication = report["replication"]
         assert replication["quorum"] == Q_QUORUM, name
         assert replication["epoch"] >= 1, \
             f"{name} never learned the promotion epoch"
         assert "exhausted_served" in report, name
-        bootstraps_applied += replication["follows"]["bootstraps_applied"]
-    assert bootstraps_applied >= 1, \
-        "no follower was ever seeded by a WAL-shipped bootstrap"
+        snapshots_applied += replication["follows"]["snapshots_applied"]
+    assert snapshots_applied >= 1, \
+        "no follower was ever seeded by a full-state transfer"
 
     first_success = min(recoveries)
     served = sum(len(log.successes) for log in logs)
@@ -519,7 +520,7 @@ def test_two_simultaneous_deaths_promote_by_quorum(tmp_path, benchmark,
             ["kills -> first victim-license renew", f"{first_success:.3f} s"],
             ["backpressure (EXHAUSTED) answers", exhausted],
             ["units forfeited (victim licenses)", forfeited],
-            ["WAL bootstraps applied (survivors)", bootstraps_applied],
+            ["state transfers applied (survivors)", snapshots_applied],
             ["double-granted licenses", len(double_grants)],
             ["client failures", len(failures)],
         ],
@@ -542,7 +543,7 @@ def test_two_simultaneous_deaths_promote_by_quorum(tmp_path, benchmark,
         "kill_to_first_success_seconds": round(first_success, 4),
         "backpressure_exhausted": exhausted,
         "forfeited_units": forfeited,
-        "bootstraps_applied": bootstraps_applied,
+        "snapshots_applied": snapshots_applied,
         "double_grants": len(double_grants),
         "failed_calls": len(failures),
     }

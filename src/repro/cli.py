@@ -228,12 +228,12 @@ def cmd_serve_remote(args) -> int:
     ``--replicas K --fleet NAME=HOST:PORT,...`` additionally streams
     this shard's license state to its K ring-successor followers and
     mounts the replication surface (``replicate``/``sync_snapshot``/
-    ``bootstrap``/``promote``/``replication_probe``) so clients can
-    fail the fleet over when primaries die.  ``--quorum`` (default: a
-    majority of the replica group) holds identity acks until that many
-    followers have confirmed the escrow deltas; with ``--data-dir``
-    cold followers are re-seeded by WAL-shipped bootstrap instead of
-    in-memory snapshots.
+    ``promote``/``replication_probe``) so clients can fail the fleet
+    over when primaries die.  ``--quorum`` (default: a majority of the
+    replica group) holds identity acks until that many followers have
+    confirmed the escrow deltas.  A follower that is new, unreachable
+    or restarted is re-seeded by one quiesced in-memory state
+    transfer; every other follower lives on deltas alone.
     """
     from repro.core.sl_remote import SlRemote
     from repro.net.replication import ReplicationManager, TcpPeerLink
@@ -326,7 +326,6 @@ def cmd_serve_remote(args) -> int:
                 quorum=quorum,
                 lag_budget_units=args.lag_budget,
                 lag_budget_grants=args.lag_grants,
-                persistence=persistences[0] if persistences else None,
             )
             manager.start()
             print(f"replicating to {depth} ring successor(s) "

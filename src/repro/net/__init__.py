@@ -26,8 +26,8 @@ package supplies:
   a routing layer (:mod:`repro.net.sharding`), and
 * a quorum control plane: depth-K follower replication of shard state
   with identity-quorum acks, epoch-fenced promotion on primary death,
-  WAL-shipped follower bootstrap, and online shard membership changes
-  (:mod:`repro.net.replication`).
+  one quiesced state transfer for followers that need it, and online
+  shard membership changes (:mod:`repro.net.replication`).
 """
 
 from repro.net.aio import AsyncLeaseServer
@@ -48,7 +48,6 @@ from repro.net.errors import (
 )
 from repro.net.network import NetworkConditions, NetworkError, SimulatedLink
 from repro.net.replication import (
-    BootstrapChunk,
     FollowerStore,
     ReplicaBatch,
     ReplicaDelta,
@@ -84,7 +83,6 @@ from repro.net.transport import (
 
 __all__ = [
     "AsyncLeaseServer",
-    "BootstrapChunk",
     "CodecError",
     "DialError",
     "ENDPOINT_SCHEMES",

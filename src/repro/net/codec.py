@@ -328,9 +328,7 @@ def encode_value(obj: Any) -> bytes:
     """Serialize one value with the tagged value codec.
 
     The same encoding envelopes use internally: registered messages,
-    enums, containers, and scalars all round-trip.  Higher layers (e.g.
-    the WAL-shipped replication bootstrap) use it to frame record
-    streams without inventing a second binary format.
+    enums, containers, and scalars all round-trip.
     """
     buf = bytearray()
     _write_value(buf, obj)

@@ -715,8 +715,6 @@ class ShardedRemote:
         replicas: int = 0,
         lag_budget_units: int = DEFAULT_LAG_BUDGET_UNITS,
         lag_budget_grants: int = DEFAULT_LAG_BUDGET_GRANTS,
-        flush_interval: float = 0.02,
-        snapshot_interval: float = 0.5,
         data_dir: Optional[str] = None,
         fsync: str = "interval",
         compact_every: int = 4096,
@@ -786,9 +784,6 @@ class ShardedRemote:
                     quorum=self.quorum,
                     lag_budget_units=lag_budget_units,
                     lag_budget_grants=lag_budget_grants,
-                    flush_interval=flush_interval,
-                    snapshot_interval=snapshot_interval,
-                    persistence=self.persistences.get(name),
                 )
             for name, link in links.items():
                 link.manager = self.managers[name]
@@ -874,7 +869,7 @@ class ShardedRemote:
                 manager.source.flush_now()
 
     def snapshot_now(self) -> None:
-        """Run one anti-entropy snapshot pass on every shard."""
+        """Send a state transfer to every needy peer of every shard."""
         for manager in self.managers.values():
             if manager.source is not None:
                 manager.source.snapshot_now()

@@ -92,7 +92,7 @@ class ReplicationHealth:
     """One shard's quorum control-plane health (``health()`` shape).
 
     ``replicates`` is absent (``None``) on a pure follower; ``follows``
-    carries the delta/snapshot/bootstrap apply counters.  Both stay
+    carries the delta/snapshot apply counters.  Both stay
     plain (bounded) dicts on the wire: the per-peer map has at most
     ``replicas`` entries.
     """

@@ -463,7 +463,8 @@ def campaign_deposed_primary(base_dir: str, smoke: bool = False,
 
         # Wait until the resurrected primary has *learned* it is
         # deposed — its own replication stats show a follower fencing
-        # it (anti-entropy lands this within its 0.5 s interval).
+        # it (its startup state transfer to every peer is answered
+        # with the fence).
         fenced = _wait_for_fence(fleet, victim, timeout=fence_wait)
         details["fence_visible"] = fenced
         if not fenced:

@@ -52,7 +52,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.gcl import LeaseKind
@@ -350,59 +350,6 @@ class WriteAheadLog:
             handle.flush()
             os.fsync(handle.fileno())
 
-    # -- export (WAL-shipped replication bootstrap) --------------------
-    def export_frames(self) -> bytes:
-        """The intact log tail as v3 wire frames, ready to ship.
-
-        Re-frames every record with the binary codec's value encoding
-        instead of the sealed on-disk frames: the WAL
-        seal is derived from the *shard-local* key domain, which a peer
-        cannot (and should not) unseal, while the wire already rides an
-        authenticated fleet channel.  Syncs first so the disk read sees
-        everything appended so far.
-        """
-        from repro.net import codec
-
-        with self._lock:
-            if not self._handle.closed:
-                self.sync()
-            records, _, _ = self.read(self.path, self._key64)
-        out = bytearray()
-        for record in records:
-            out += codec.frame(codec.encode_value({
-                "seq": record.seq,
-                "event": record.event,
-                "fields": record.fields,
-            }))
-        return bytes(out)
-
-    @staticmethod
-    def iter_frames(blob: bytes):
-        """Yield :class:`WalRecord` entries from an exported blob.
-
-        The inverse of :meth:`export_frames`; raises
-        :class:`~repro.net.codec.CodecError` on any malformed frame —
-        a bootstrap transfer is all-or-nothing, unlike the torn-tail
-        tolerance of the on-disk reader.
-        """
-        from repro.net import codec
-
-        offset = 0
-        header_size = codec.FRAME_HEADER.size
-        while offset < len(blob):
-            header = blob[offset:offset + header_size]
-            if len(header) < header_size:
-                raise codec.CodecError("truncated bootstrap frame header")
-            length = codec.frame_length(header)
-            start = offset + header_size
-            payload = blob[start:start + length]
-            if len(payload) < length:
-                raise codec.CodecError("truncated bootstrap frame body")
-            obj = codec.decode_value(payload)
-            yield WalRecord(seq=int(obj["seq"]), event=str(obj["event"]),
-                            fields=dict(obj["fields"]))
-            offset = start + length
-
 
 # ----------------------------------------------------------------------
 # Snapshots
@@ -561,7 +508,6 @@ class ShardPersistence:
         self._observer: Optional[Callable[[str, Dict[str, Any]], None]] = None
         self._group: Optional[Callable[[], Any]] = None
         self._local = threading.local()
-        self._compact_lock = threading.Lock()
         self._stop = threading.Event()
         self._maintenance: Optional[threading.Thread] = None
         self.last_report: Optional[RecoveryReport] = None
@@ -818,111 +764,29 @@ class ShardPersistence:
     def compact(self) -> None:
         """Fold the log into a fresh snapshot and truncate it.
 
-        Excludes every writer while the cut is taken: holding
-        ``_clients_lock`` → ``_registry_lock`` → every license lock (in
-        sorted order, matching the documented lock hierarchy) blocks
-        issue/admit/escrow/grant/install/release, so the snapshot and
-        the ``last_seq`` watermark are mutually consistent and nothing
-        can append between the export and the truncation.
+        Runs inside :meth:`~repro.core.sl_remote.SlRemote.quiesce`,
+        which holds every writer out (issue/admit/escrow/grant/install/
+        release), so the snapshot and the ``last_seq`` watermark are
+        mutually consistent and nothing can append between the export
+        and the truncation.
         """
         remote = self._remote
         if remote is None:
             return
-        with self._compact_lock:
-            with remote._clients_lock:
-                with remote._registry_lock:
-                    states = dict(remote._states)
-                    ordered = sorted(states)
-                    for license_id in ordered:
-                        states[license_id].lock.acquire()
-                    try:
-                        licenses = {
-                            license_id: self._export_locked(
-                                remote, states[license_id]
-                            )
-                            for license_id in ordered
-                        }
-                        payload = {
-                            "seq": self.wal.last_seq,
-                            "licenses": licenses,
-                            "identity": remote.export_identity(),
-                            "moved": dict(remote._moved),
-                        }
-                        write_snapshot(
-                            self._snap_path, self._key64, payload,
-                            opener=self._opener,
-                            crash_point=self._crash_point,
-                        )
-                        self.wal.reset()
-                        self._crash_point("wal:reset")
-                        if self.anchor is not None:
-                            # Ratchet only after the snapshot is the
-                            # durable truth: advancing first would let
-                            # a crash between the two refuse our own
-                            # (older but honest) image.
-                            self.anchor.advance(self.wal.last_seq)
-                    finally:
-                        for license_id in reversed(ordered):
-                            states[license_id].lock.release()
-
-    @staticmethod
-    def _export_locked(remote: SlRemote, state: Any) -> Dict[str, Any]:
-        """export_license_state's body, minus its own lock acquisition
-        (the compactor already holds the registry lock, which the
-        public accessor would try to retake)."""
-        from repro.core.sl_remote import definition_to_wire, ledger_to_wire
-
-        license_id = state.definition.license_id
-        holdings: Dict[str, int] = {}
-        for slid, client in remote._clients.items():
-            units = client.holdings.get(license_id, 0)
-            if units:
-                holdings[str(slid)] = units
-        return {
-            "definition": definition_to_wire(state.definition),
-            "ledger": ledger_to_wire(state.ledger),
-            "frozen": state.frozen,
-            "holdings": holdings,
-        }
-
-    # -- export (WAL-shipped replication bootstrap) --------------------
-    def export_bootstrap(
-        self,
-        capture: Optional[Callable[[], None]] = None,
-    ) -> Tuple[Dict[str, Any], bytes]:
-        """A consistent ``(snapshot payload, framed WAL tail)`` cut.
-
-        Takes the same writer-exclusion as :meth:`compact` — every
-        license lock held, WAL synced — but reads instead of
-        truncating: the returned pair is exactly what a cold follower
-        needs to rebuild this shard's state, and ``capture`` (invoked
-        inside the quiesce) lets the replication source record the seq
-        watermark that names this cut.
-        """
-        remote = self._remote
-        if remote is None:
-            raise RuntimeError(
-                "export_bootstrap needs an attached remote (recover first)"
+        with remote.quiesce() as cut:
+            payload = {"seq": self.wal.last_seq, **cut}
+            write_snapshot(
+                self._snap_path, self._key64, payload,
+                opener=self._opener,
+                crash_point=self._crash_point,
             )
-        with self._compact_lock:
-            with remote._clients_lock:
-                with remote._registry_lock:
-                    states = dict(remote._states)
-                    ordered = sorted(states)
-                    for license_id in ordered:
-                        states[license_id].lock.acquire()
-                    try:
-                        self.wal.sync()
-                        if capture is not None:
-                            capture()
-                        snapshot = read_snapshot(
-                            self._snap_path, self._key64
-                        ) or {}
-                        frames = self.wal.export_frames()
-                    finally:
-                        for license_id in reversed(ordered):
-                            states[license_id].lock.release()
-        return snapshot, frames
+            self.wal.reset()
+            self._crash_point("wal:reset")
+            if self.anchor is not None:
+                # Ratchet only after the snapshot is the durable truth:
+                # advancing first would let a crash between the two
+                # refuse our own (older but honest) image.
+                self.anchor.advance(self.wal.last_seq)
 
     # -- maintenance ---------------------------------------------------
     def _maintenance_loop(self) -> None:
